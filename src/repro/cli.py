@@ -309,7 +309,6 @@ def _cmd_fleet(args) -> int:
         result = simulate_fleet(image, args.clients, config,
                                 stagger_s=args.stagger,
                                 recorder=recorder,
-                                queue_model=args.queue_model,
                                 shards=args.shards,
                                 hub_capacity=args.hub_capacity,
                                 distinct_clients=args.distinct,
@@ -319,8 +318,7 @@ def _cmd_fleet(args) -> int:
             server.close()
     print(f"[fleet] {result.n_clients} clients "
           f"({result.distinct_clients} distinct), "
-          f"stagger {args.stagger * 1e3:.1f} ms, "
-          f"{result.queue_model} queue model")
+          f"stagger {args.stagger * 1e3:.1f} ms")
     print(f"  mc requests       : {result.mc_requests} "
           f"({result.mc_chunks_built} chunks built, "
           f"{100 * result.chunk_cache_sharing:.0f}% shared)")
@@ -761,11 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--trace", metavar="OUT",
                        help="record a fleet-wide trace (per-client "
                             "timelines merged)")
-    fleet.add_argument("--queue-model", default="event",
-                       choices=("event", "legacy"),
-                       help="event: one simulated clock with live "
-                            "queueing feedback; legacy: the old "
-                            "post-hoc FIFO estimate")
     fleet.add_argument("--shards", type=int, default=1,
                        help="consistent-hash MC shards behind the hub")
     fleet.add_argument("--hub-capacity", type=int, default=0,

@@ -17,7 +17,6 @@ from .sched import (
     SimOutcome,
     WireTap,
     run_event_sim,
-    run_legacy_sim,
 )
 from .shard import (
     ConsistentHashRing,
@@ -28,7 +27,7 @@ from .shard import (
 __all__ = [
     "ClientResult", "FleetResult", "ShardLoad", "simulate_fleet",
     "ClientTrace", "MCProbe", "RpcRecord", "SimOutcome", "WireTap",
-    "run_event_sim", "run_legacy_sim",
+    "run_event_sim",
     "ConsistentHashRing", "ShardedMemoryController",
     "aggregate_mc_stats",
 ]

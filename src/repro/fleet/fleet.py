@@ -11,9 +11,7 @@ SoftCacheSystem` run once under a :class:`~repro.fleet.sched.WireTap`
 advanced by the discrete-event scheduler on one simulated clock, so
 uplink queueing, origin-shard contention behind the edge hub, and
 fault-retry storms emerge from the event interleaving instead of
-being estimated post hoc (``queue_model="event"``, the default;
-``"legacy"`` keeps the old post-hoc FIFO as a convergence baseline).
-The server side is either one shared
+being estimated post hoc.  The server side is either one shared
 :class:`~repro.softcache.MemoryController` or — with ``shards > 1`` —
 a consistent-hash :class:`~repro.fleet.shard.ShardedMemoryController`
 whose per-shard rewrite/serve/bytes counters feed the metrics
@@ -22,6 +20,7 @@ registry.  See docs/FLEET.md.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from ..asm.image import Image
@@ -38,7 +37,6 @@ from .sched import (
     SimOutcome,
     WireTap,
     run_event_sim,
-    run_legacy_sim,
 )
 from .shard import ShardedMemoryController
 
@@ -53,8 +51,7 @@ class ClientResult:
     translations: int
     bytes_requested: int
     #: Total queueing wait (uplink + shard) this client accumulated
-    #: on the shared clock; 0 under the legacy model, which does not
-    #: feed delays back into client timelines.
+    #: on the shared clock.
     queue_delay_s: float = 0.0
     #: Image epoch the client finished on (0: never updated).
     final_epoch: int = 0
@@ -103,16 +100,14 @@ class FleetResult:
     #: replayed exchanges are real uplink load and are queued like any
     #: other request.
     link_retries: int = 0
-    #: Which queueing model produced the delay figures.
-    queue_model: str = "event"
     #: Clients actually executed (the rest replayed captured traces).
     distinct_clients: int = 0
     n_shards: int = 1
     shard_loads: list[ShardLoad] = field(default_factory=list)
-    #: Origin-shard FIFO queueing (event model only).
+    #: Origin-shard FIFO queueing.
     mean_shard_delay_s: float = 0.0
     max_shard_delay_s: float = 0.0
-    #: Edge-hub traffic (event model with ``hub_capacity > 0``).
+    #: Edge-hub traffic (``hub_capacity > 0``).
     hub_capacity: int = 0
     hub_requests: int = 0
     hub_hits: int = 0
@@ -210,13 +205,12 @@ class FleetResult:
             g(f"{p}.busy_s").set(load.busy_s)
 
 
-def _empty_result(config: SoftCacheConfig, queue_model: str,
-                  shards: int) -> FleetResult:
+def _empty_result(config: SoftCacheConfig, shards: int) -> FleetResult:
     return FleetResult(
         n_clients=0, link=config.link, clients=[], mc_requests=0,
         mc_chunks_built=0, total_transfer_s=0.0, makespan_s=0.0,
         mean_queue_delay_s=0.0, max_queue_delay_s=0.0,
-        delayed_requests=0, queue_model=queue_model,
+        delayed_requests=0,
         distinct_clients=0, n_shards=max(1, shards),
         shard_loads=[ShardLoad(shard=i, requests=0, busy_s=0.0)
                      for i in range(max(1, shards))])
@@ -228,7 +222,6 @@ def simulate_fleet(image: Image, n_clients: int,
                    max_instructions: int = 400_000_000,
                    recorder=None, fault_plan=None,
                    retry_policy=None,
-                   queue_model: str = "event",
                    shards: int = 1,
                    hub_capacity: int = 0,
                    distinct_clients: int | None = None,
@@ -239,12 +232,10 @@ def simulate_fleet(image: Image, n_clients: int,
     power on together (worst case for the shared uplink, e.g. after a
     region-wide reset of a sensor network).
 
-    *queue_model* selects the shared-uplink simulation: ``"event"``
-    (default) advances every client on one heap-ordered simulated
-    clock with live queueing feedback; ``"legacy"`` reproduces the
-    old post-hoc FIFO pass.  *shards* > 1 splits the MC into a
+    Every client advances on one heap-ordered simulated clock with
+    live queueing feedback.  *shards* > 1 splits the MC into a
     consistent-hash sharded tier; *hub_capacity* (bytes) interposes a
-    shared edge hub that shields the origin shards (event model).
+    shared edge hub that shields the origin shards.
 
     *distinct_clients* caps how many clients actually execute — the
     rest replay captured wire timelines (devices are identical and
@@ -271,16 +262,13 @@ def simulate_fleet(image: Image, n_clients: int,
     outages are decorrelated across the fleet; transient faults never
     change a client's output or translations, so the fleet-divergence
     assertion still holds.  Retry traversals are captured as extra
-    wire occupancy, so under the event model a retry storm is live
-    uplink load.
+    wire occupancy, so a retry storm is live uplink load.
     """
     if n_clients < 0:
         raise ValueError("n_clients must be >= 0")
-    if queue_model not in ("event", "legacy"):
-        raise ValueError(f"unknown queue model {queue_model!r}")
     config = config or SoftCacheConfig()
     if n_clients == 0:
-        return _empty_result(config, queue_model, shards)
+        return _empty_result(config, shards)
     if fault_plan is None:
         fault_plan = config.fault_plan
     if retry_policy is None:
@@ -393,30 +381,25 @@ def simulate_fleet(image: Image, n_clients: int,
     assignment = [trace_index(i) for i in range(n_clients)]
     all_traces = [traces[i] for i in assignment]
     boots = [i * stagger_s for i in range(n_clients)]
-    link_retries = 0
-    for client_id, t_idx in enumerate(assignment):
-        link_retries += traces[t_idx].retries
-        if client_id >= n_distinct:
-            # the server served this client from its chunk caches:
-            # credit each owning shard with the demand fetches
-            demands = traces[t_idx].shard_demands
-            if isinstance(shared_mc, ShardedMemoryController):
-                shared_mc.credit_replicated(demands)
-            else:
-                n_demands = sum(demands.values())
-                shared_mc.stats.requests += n_demands
-                shared_mc.stats.chunk_cache_hits += n_demands
+    link_retries = sum(t.retries for t in all_traces)
+    # the server served each replicated client from its chunk caches:
+    # credit the owning shards with the demand fetches, once per trace
+    for t_idx, count in Counter(assignment[n_distinct:]).items():
+        demands = {sid: n * count
+                   for sid, n in traces[t_idx].shard_demands.items()}
+        if isinstance(shared_mc, ShardedMemoryController):
+            shared_mc.credit_replicated(demands)
+        else:
+            n_demands = sum(demands.values())
+            shared_mc.stats.requests += n_demands
+            shared_mc.stats.chunk_cache_hits += n_demands
 
     # -- queueing phase: one simulated clock over the whole fleet -----
-    if queue_model == "event":
-        sim: SimOutcome = run_event_sim(
-            all_traces, boots, costs=costs, n_shards=shards,
-            origin_service_s=costs.cycles_to_seconds(
-                costs.mc_service_cycles),
-            hub_capacity=hub_capacity, recorder=recorder)
-    else:
-        sim = run_legacy_sim(all_traces, boots, costs=costs,
-                             n_shards=shards, recorder=recorder)
+    sim: SimOutcome = run_event_sim(
+        all_traces, boots, costs=costs, n_shards=shards,
+        origin_service_s=costs.cycles_to_seconds(
+            costs.mc_service_cycles),
+        hub_capacity=hub_capacity, recorder=recorder)
 
     clients: list[ClientResult] = []
     wavefront: list[float] = []
@@ -480,7 +463,6 @@ def simulate_fleet(image: Image, n_clients: int,
         max_queue_delay_s=sim.max_queue_delay_s,
         delayed_requests=sim.delayed_requests,
         link_retries=link_retries,
-        queue_model=queue_model,
         distinct_clients=n_distinct,
         n_shards=shards,
         shard_loads=shard_loads,

@@ -31,11 +31,6 @@ reconstructed after the fact.  Arrival times are computed as
 ``boot + cycles_to_seconds(start_cycles) + accumulated_wait`` — one
 expression from the captured integer cycle counts — so a 1-client
 fleet reproduces the solo run's simulated seconds *bit-identically*.
-
-:func:`run_legacy_sim` keeps the old post-hoc model (one FIFO pass
-over the merged arrival timeline, no feedback) over the *same*
-captured records; the two models differ only in feedback and the
-shard tier, which is why they converge at low uplink utilization.
 """
 
 from __future__ import annotations
@@ -269,7 +264,7 @@ class WireTap:
 
 @dataclass
 class SimOutcome:
-    """What one queueing simulation (event or legacy) produced."""
+    """What one fleet replay (:func:`run_event_sim`) produced."""
 
     #: Per-client total queueing wait (uplink + shard), seconds.
     waits: list[float]
@@ -299,27 +294,44 @@ def run_event_sim(traces, boots, *, costs, n_shards: int = 1,
 
     *traces* holds each client's :class:`ClientTrace` (replicated
     clients share trace objects), *boots* its boot offset.  One heap
-    orders the next pending RPC of every client; popping an event
-    queues it FIFO on the shared uplink and — for chunk traffic that
+    orders the next pending RPC of every client; the event at the top
+    queues FIFO on the shared uplink and — for chunk traffic that
     misses the shared edge hub — on its origin shard, and the waits
-    incurred shift all of that client's later arrivals (the feedback
-    the legacy model lacks).
+    incurred shift all of that client's later arrivals.
+
+    Each distinct trace is flattened once into per-record columns, and
+    a heap entry ``(arrival, seq, client, record, wait, columns)``
+    carries the client's whole replay state, so an event costs one
+    ``heapreplace`` (a ``heappop`` when the client finishes).  *seq*
+    is unique and increases with every scheduled arrival, so equal
+    arrivals are served in the order they were scheduled and tuple
+    comparison never looks past it.
     """
     n = len(traces)
     cts = costs.cycles_to_seconds
     hz = costs.cpu_hz
-    idx = [0] * n
     waits = [0.0] * n
     ends = [0.0] * n
-    heap: list[tuple[float, int, int]] = []
+    flat: dict[int, tuple] = {}
+    heap: list[tuple] = []
     seq = 0
     for c in range(n):
-        recs = traces[c].records
-        if recs:
-            heap.append((boots[c] + cts(recs[0].start_cycles), seq, c))
+        trace = traces[c]
+        cols = flat.get(id(trace))
+        if cols is None:
+            recs = trace.records
+            cols = flat[id(trace)] = (
+                [cts(r.start_cycles) for r in recs],
+                [r.wire_s for r in recs],
+                # -1 (non-chunk traffic) survives the fold
+                [r.shard if r.shard < n_shards else 0 for r in recs],
+                [r.keys for r in recs],
+                len(recs), cts(trace.total_cycles), trace)
+        if cols[4]:
+            heap.append((boots[c] + cols[0][0], seq, c, 0, 0.0, cols))
             seq += 1
         else:
-            ends[c] = boots[c] + cts(traces[c].total_cycles)
+            ends[c] = boots[c] + cols[5]
     heapq.heapify(heap)
 
     uplink_free = 0.0
@@ -327,7 +339,8 @@ def run_event_sim(traces, boots, *, costs, n_shards: int = 1,
     shard_free = [0.0] * n_shards
     shard_busy = [0.0] * n_shards
     shard_req = [0] * n_shards
-    hub = LruChunkCache(hub_capacity) if hub_capacity > 0 else None
+    admit = (LruChunkCache(hub_capacity).admit if hub_capacity > 0
+             else None)
     hub_requests = 0
     hub_hits = 0
     q_total = 0.0
@@ -337,41 +350,38 @@ def run_event_sim(traces, boots, *, costs, n_shards: int = 1,
     s_total = 0.0
     s_max = 0.0
 
-    push = heapq.heappush
-    pop = heapq.heappop
+    heapreplace = heapq.heapreplace
+    heappop = heapq.heappop
     while heap:
-        t, _, c = pop(heap)
-        trace = traces[c]
-        r = trace.records[idx[c]]
+        t, _, c, i, acc, cols = heap[0]
+        offsets, wires, sids, keys, n_recs, end, trace = cols
+        wire = wires[i]
         begin = t if t >= uplink_free else uplink_free
         du = begin - t
-        uplink_free = begin + r.wire_s
-        uplink_busy += r.wire_s
+        uplink_free = begin + wire
+        uplink_busy += wire
         ds = 0.0
-        if r.shard >= 0:
-            sid = r.shard if r.shard < n_shards else 0
-            at_hub = False
-            if hub is not None:
+        sid = sids[i]
+        if sid >= 0:
+            if admit is not None:
                 hub_requests += 1
-                if r.keys and r.keys[0][0] in hub:
-                    hub.touch(r.keys[0][0])
+                at_hub = admit(keys[i])
+                if at_hub:
                     hub_hits += 1
-                    at_hub = True
+            else:
+                at_hub = False
             if not at_hub:
                 shard_req[sid] += 1
-            if not at_hub and origin_service_s > 0.0:
-                arrive = begin + r.wire_s
-                sbegin = (arrive if arrive >= shard_free[sid]
-                          else shard_free[sid])
-                ds = sbegin - arrive
-                shard_free[sid] = sbegin + origin_service_s
-                shard_busy[sid] += origin_service_s
-                s_total += ds
-                if ds > s_max:
-                    s_max = ds
-            if hub is not None:
-                for key, size in r.keys:
-                    hub.insert(key, size)
+                if origin_service_s > 0.0:
+                    arrive = uplink_free
+                    sbegin = (arrive if arrive >= shard_free[sid]
+                              else shard_free[sid])
+                    ds = sbegin - arrive
+                    shard_free[sid] = sbegin + origin_service_s
+                    shard_busy[sid] += origin_service_s
+                    s_total += ds
+                    if ds > s_max:
+                        s_max = ds
         wait = du + ds
         q_n += 1
         q_total += wait
@@ -380,20 +390,23 @@ def run_event_sim(traces, boots, *, costs, n_shards: int = 1,
         if wait > 0:
             delayed += 1
             if recorder is not None:
-                where = "uplink" if ds == 0.0 else f"shard{r.shard}"
+                # the event names the captured (unfolded) owner shard
+                where = ("uplink" if ds == 0.0 else
+                         f"shard{trace.records[i].shard}")
                 recorder.emit("fleet.queue", "fleet",
                               cycles=int(t * hz), dur=int(wait * hz),
                               where=where, arrival_s=t, delay_s=wait,
-                              service_s=r.wire_s)
-        waits[c] += wait
-        idx[c] += 1
-        if idx[c] < len(trace.records):
-            nxt = trace.records[idx[c]]
-            push(heap, (boots[c] + cts(nxt.start_cycles) + waits[c],
-                        seq, c))
+                              service_s=wire)
+        acc += wait
+        i += 1
+        if i < n_recs:
+            heapreplace(heap, (boots[c] + offsets[i] + acc, seq, c, i,
+                               acc, cols))
             seq += 1
         else:
-            ends[c] = boots[c] + cts(trace.total_cycles) + waits[c]
+            heappop(heap)
+            waits[c] = acc
+            ends[c] = boots[c] + end + acc
 
     chunk_visits = sum(shard_req)
     return SimOutcome(
@@ -406,60 +419,3 @@ def run_event_sim(traces, boots, *, costs, n_shards: int = 1,
         if chunk_visits else 0.0,
         max_shard_delay_s=s_max,
         hub_requests=hub_requests, hub_hits=hub_hits)
-
-
-def run_legacy_sim(traces, boots, *, costs, n_shards: int = 1,
-                   recorder=None) -> SimOutcome:
-    """The pre-event post-hoc model over the same captured records.
-
-    Merges every client's arrivals (unshifted — no feedback) into one
-    timeline and pushes it through a single FIFO server.  Kept as
-    ``--queue-model legacy`` both as a regression baseline and as the
-    convergence oracle: at low utilization the feedback the event
-    model adds is negligible and the two must agree.
-    """
-    n = len(traces)
-    cts = costs.cycles_to_seconds
-    hz = costs.cpu_hz
-    waits = [0.0] * n
-    ends = [0.0] * n
-    shard_req = [0] * n_shards
-    events: list[tuple[float, float]] = []
-    for c in range(n):
-        trace = traces[c]
-        boot = boots[c]
-        for r in trace.records:
-            events.append((boot + cts(r.start_cycles), r.wire_s))
-        ends[c] = boot + cts(trace.total_cycles)
-        for sid, cnt in trace.shard_demands.items():
-            shard_req[sid if sid < n_shards else 0] += cnt
-    events.sort()
-    busy_until = 0.0
-    total_delay = 0.0
-    max_delay = 0.0
-    delayed = 0
-    total_service = 0.0
-    for arrival, service in events:
-        begin = arrival if arrival >= busy_until else busy_until
-        delay = begin - arrival
-        if delay > 0:
-            delayed += 1
-            if recorder is not None:
-                recorder.emit("fleet.queue", "fleet",
-                              cycles=int(arrival * hz),
-                              dur=int(delay * hz), where="uplink",
-                              arrival_s=arrival, delay_s=delay,
-                              service_s=service)
-        total_delay += delay
-        if delay > max_delay:
-            max_delay = delay
-        busy_until = begin + service
-        total_service += service
-    return SimOutcome(
-        waits=waits, ends=ends, uplink_busy_s=total_service,
-        busy_until=busy_until,
-        mean_queue_delay_s=(total_delay / len(events))
-        if events else 0.0,
-        max_queue_delay_s=max_delay, delayed_requests=delayed,
-        shard_requests=shard_req,
-        shard_busy_s=[0.0] * n_shards)

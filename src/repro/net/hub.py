@@ -100,6 +100,27 @@ class LruChunkCache:
             self.cached_bytes -= evicted
             self.evictions += 1
 
+    def admit(self, keys) -> bool:
+        """One chunk RPC's whole hub step; returns whether the demand
+        key (``keys[0]``) was already held.
+
+        Every ``(key, payload_bytes)`` the reply carried is then
+        re-inserted in order, demand key first, which is also what
+        refreshes it.  A same-size re-insert of a held key is just a
+        move to the back: ``cached_bytes`` never exceeds the capacity
+        between calls, so nothing could be evicted.  At zero capacity
+        nothing is held, so the probe misses and :meth:`insert` drops
+        every key.
+        """
+        entries = self._entries
+        hit = bool(keys) and keys[0][0] in entries
+        for key, size in keys:
+            if entries.get(key) == size:
+                entries.move_to_end(key)
+            else:
+                self.insert(key, size)
+        return hit
+
 
 def hub_key(mc, orig_addr: int):
     """The hub-cache key for a chunk just served by *mc*.

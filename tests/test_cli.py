@@ -176,8 +176,7 @@ def test_fleet_subcommand(capsys, tmp_path, monkeypatch):
                  "--stagger", "0.001", "--trace", "fleet"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "[fleet] 3 clients" in out
-    assert "event queue model" in out
+    assert "[fleet] 3 clients (2 distinct), stagger 1.0 ms" in out
     assert "uplink" in out
     _check_trace_outputs(tmp_path / "fleet")
 
@@ -198,13 +197,14 @@ def test_fleet_sharded_with_hub_and_prom(capsys, tmp_path,
     assert "repro_fleet_shard3_requests_total" in prom
 
 
-def test_fleet_legacy_queue_model(capsys):
+def test_fleet_burst_reports_queueing(capsys):
     code = main(["fleet", "sensor", "--scale", "0.05",
-                 "--tcache", "2048", "--clients", "2",
-                 "--queue-model", "legacy"])
+                 "--tcache", "2048", "--clients", "2"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "legacy queue model" in out
+    assert "stagger 0.0 ms" in out
+    delayed = int(out.split("queueing          : ")[1].split()[0])
+    assert delayed > 0  # simultaneous boots contend for the uplink
 
 
 def test_run_prom_out(capsys, tmp_path, monkeypatch):

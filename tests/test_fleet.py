@@ -1,15 +1,16 @@
 """Fleet simulation (Figure 1: one server, many devices).
 
 The fleet runs on a discrete-event scheduler: one simulated clock,
-live uplink/shard contention, with the old post-hoc FIFO kept as
-``queue_model="legacy"``.  These tests pin the contract: a 1-client
-event fleet is bit-identical to a solo run, the two queue models agree
-at low utilization, fault plans compose with the live queue, and
-sharding the MC never changes architectural state.  See docs/FLEET.md.
+live uplink/shard contention.  These tests pin the contract: a
+1-client fleet is bit-identical to a solo run, queueing stays within
+the M/D/1 bound at low utilization, fault plans compose with the live
+queue, and sharding the MC never changes architectural state.  See
+docs/FLEET.md (tests/test_fleet_replay.py pins the replay loop itself).
 """
 
 import pytest
 
+import repro.fleet.fleet as fleet_mod
 from repro.fleet import simulate_fleet
 from repro.net import FaultPlan, LinkModel, RetryPolicy
 from repro.softcache import (
@@ -29,6 +30,19 @@ def image():
 @pytest.fixture(scope="module")
 def config():
     return SoftCacheConfig(tcache_size=8192, record_timeline=True)
+
+
+def requests_replayed(monkeypatch):
+    """Patch the replay to count the RPCs it schedules; returns the
+    list the count is appended to."""
+    counts = []
+    replay = fleet_mod.run_event_sim
+
+    def counting(traces, boots, **kw):
+        counts.append(sum(len(t.records) for t in traces))
+        return replay(traces, boots, **kw)
+    monkeypatch.setattr(fleet_mod, "run_event_sim", counting)
+    return counts
 
 
 def test_single_client(image, config):
@@ -77,31 +91,36 @@ def test_stagger_spreads_load(image, config):
     assert burst.max_queue_delay_s > 0
 
 
-def test_event_and_legacy_agree_at_low_load(image, config):
-    """Acceptance: below 20% uplink utilization the live event model
-    and the post-hoc legacy model agree on mean queue delay within 5%
-    (both collapse to ~zero — no contention means no feedback for the
-    models to disagree about)."""
-    ev = simulate_fleet(image, 6, config, stagger_s=0.04,
-                        queue_model="event")
-    leg = simulate_fleet(image, 6, config, stagger_s=0.04,
-                         queue_model="legacy")
-    assert ev.link_utilization < 0.20
-    a, b = ev.mean_queue_delay_s, leg.mean_queue_delay_s
-    assert abs(a - b) <= max(0.05 * max(a, b), 1e-9)
+def test_low_load_delay_within_md1_bound(image, config, monkeypatch):
+    """Acceptance: below 20% uplink utilization the live event model's
+    mean queueing delay stays within the M/D/1 mean wait
+    rho * S / (2 * (1 - rho)) for the same load and mean service time
+    S — staggered deterministic clients queue no worse than Poisson
+    arrivals would."""
+    counts = requests_replayed(monkeypatch)
+    ev = simulate_fleet(image, 6, config, stagger_s=0.04)
+    rho = ev.link_utilization
+    assert 0.0 < rho < 0.20
+    service = ev.total_transfer_s / counts[0]
+    assert ev.mean_queue_delay_s <= rho * service / (2 * (1 - rho))
 
 
-def test_event_feedback_disperses_collisions(image, config):
-    """Under contention the event model's feedback lets staggered
-    request trains self-organize apart after the first collision; the
-    legacy model re-collides every period, so it can only overestimate."""
-    burst_ev = simulate_fleet(image, 6, config, queue_model="event")
-    burst_leg = simulate_fleet(image, 6, config, queue_model="legacy")
-    assert burst_ev.delayed_requests > 0
-    assert burst_ev.mean_queue_delay_s <= burst_leg.mean_queue_delay_s
-    # legacy never feeds delay back into client timelines
-    assert all(c.queue_delay_s == 0.0 for c in burst_leg.clients)
-    assert any(c.queue_delay_s > 0.0 for c in burst_ev.clients)
+def test_event_feedback_disperses_collisions(image, config, monkeypatch):
+    """Under contention a client's queueing wait shifts its whole
+    later timeline, so simultaneous request trains spread apart after
+    the first collision instead of re-colliding every miss period
+    (which would cost (n - 1) / 2 service times per request)."""
+    counts = requests_replayed(monkeypatch)
+    n = 6
+    burst = simulate_fleet(image, n, config)
+    assert burst.delayed_requests > 0
+    assert all(c.queue_delay_s > 0.0 for c in burst.clients)
+    # the wait is fed back: every completion moved by exactly it
+    assert burst.makespan_s == max(c.end_s for c in burst.clients)
+    assert sum(c.queue_delay_s for c in burst.clients) == pytest.approx(
+        burst.mean_queue_delay_s * counts[0])
+    service = burst.total_transfer_s / counts[0]
+    assert burst.mean_queue_delay_s < (n - 1) / 2 * service
 
 
 def test_chaos_fleet_composes_with_event_queue(image, config):
@@ -194,11 +213,6 @@ def test_empty_fleet(image, config):
 def test_negative_clients_rejected(image, config):
     with pytest.raises(ValueError):
         simulate_fleet(image, -1, config)
-
-
-def test_unknown_queue_model_rejected(image, config):
-    with pytest.raises(ValueError, match="queue model"):
-        simulate_fleet(image, 2, config, queue_model="quantum")
 
 
 def test_replication_preserves_server_accounting(image, config):
