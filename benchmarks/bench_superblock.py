@@ -1,10 +1,10 @@
-"""Interpreter dispatch tiers: per-instruction vs closure vs JIT.
+"""Interpreter dispatch tiers: per-instruction vs tier 0 vs JIT.
 
 Same simulated program, same architectural results — the only thing
 measured here is host-side interpreter speed per tier and what the
 fuser/JIT did: how much of the dynamic instruction stream runs inside
-fused blocks, and how much of that was promoted to generated-source
-JIT functions.
+fused blocks, and how much of that was promoted from tier 0 (threaded
+per-instruction closures) to generated-source JIT functions.
 
 Two entry points:
 
@@ -39,13 +39,13 @@ WORKLOADS = {"sensor": 0.05, "adpcm_enc": 0.05}
 #: tier name -> MachineConfig kwargs.
 TIERS = {
     "per_insn": {"superblocks": False},
-    "closure": {"superblocks": True, "jit": "off"},
+    "tier0": {"superblocks": True, "jit": "off"},
     "jit_hot": {"superblocks": True, "jit": "hot"},
     "jit_all": {"superblocks": True, "jit": "all"},
 }
 
 
-@pytest.mark.parametrize("tier", ["per_insn", "closure", "jit_all"])
+@pytest.mark.parametrize("tier", ["per_insn", "tier0", "jit_all"])
 @pytest.mark.parametrize("name", list(WORKLOADS))
 def test_dispatch_throughput(benchmark, name, tier):
     image = build_workload(name, WORKLOADS[name])

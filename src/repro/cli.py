@@ -19,7 +19,7 @@ from pathlib import Path
 from .isa import disassemble_range
 from .net import LOCAL_LINK, LinkModel
 from .profiling import profile_image
-from .sim import run_native
+from .sim import JIT_MODES, run_native
 from .softcache import SoftCacheConfig, SoftCacheSystem, policy_names
 from .workloads import WORKLOADS, build_workload
 
@@ -92,6 +92,15 @@ def _tcache_size(value: str):
     if value.strip().lower() == "auto":
         return "auto"
     return int(value)
+
+
+def _jit_threshold(value: str) -> int:
+    """``--jit-threshold``: an integer >= 1, rejected at parse time."""
+    threshold = int(value)
+    if threshold < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 1, got {threshold}")
+    return threshold
 
 
 def _resolve_auto_tcache(args, image) -> None:
@@ -678,13 +687,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(see docs/FAULTS.md)")
         p.add_argument("--seed", type=int, default=0,
                        help="PRNG seed for the fault plan")
-        p.add_argument("--jit", default="hot",
-                       choices=("off", "hot", "all"),
+        p.add_argument("--jit", default="hot", choices=JIT_MODES,
                        help="template-JIT tier for superblocks: off = "
-                            "closure tier only, hot = promote after "
+                            "tier 0 only, hot = promote after "
                             "--jit-threshold executions (default), "
                             "all = compile every fused block eagerly")
-        p.add_argument("--jit-threshold", type=int, default=16,
+        p.add_argument("--jit-threshold", type=_jit_threshold, default=16,
                        help="superblock executions before JIT "
                             "promotion (jit=hot)")
         p.add_argument("--update-at", metavar="CYCLES:IMAGE",
@@ -826,10 +834,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inspect: which snapshot section")
     admin.add_argument("--prefetch-depth", type=int, default=None,
                        help="set: new prefetch depth")
-    admin.add_argument("--jit", default=None,
-                       choices=("off", "hot", "all"),
+    admin.add_argument("--jit", default=None, choices=JIT_MODES,
                        help="set: new JIT mode")
-    admin.add_argument("--jit-threshold", type=int, default=None,
+    admin.add_argument("--jit-threshold", type=_jit_threshold,
+                       default=None,
                        help="set: new JIT promotion threshold")
     admin.add_argument("--policy", default=None,
                        choices=policy_names(),

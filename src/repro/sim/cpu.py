@@ -1,27 +1,35 @@
 """The repro RISC CPU: a closure-caching, superblock-threading interpreter.
 
-Each instruction word is decoded once into a specialized Python closure
-stored in a per-address decode cache.  On top of that sits a
-**superblock layer**: at first dispatch of a pc, the straight-line run
-of instructions starting there (up to the next control transfer) is
-fused into one generated-and-compiled Python function that executes the
-whole block with a single dispatch, batching the instruction/cycle
-stats updates; the run loop is then ``pc = blocks[pc](pc)``.  Traced
-runs, :meth:`CPU.step` and TRAP/SYSCALL/BREAK/HALT words always use the
+Each instruction word is decoded once into a specialized Python closure.
+Closures depend only on their word (branch targets and link addresses
+come from the runtime pc), so one per-CPU ``word -> closure`` memo
+serves every address the word appears at, and a per-address decode
+cache maps pcs onto it.  On top of that sits a **superblock layer**: at
+first dispatch of a pc, the straight-line run of instructions starting
+there (up to the next control transfer) is fused into one dispatch
+entry; the run loop is then ``pc = blocks[pc](pc)``.  Traced runs,
+:meth:`CPU.step` and TRAP/SYSCALL/BREAK/HALT words always use the
 per-instruction closures, so hook-visible state is exact at those
 boundaries.
 
-Above the closure tier sits a hotness-driven **template-JIT tier**
-(:mod:`repro.sim.jit`): once a superblock's content has executed
-``jit_threshold`` times (``jit="hot"``, the default; ``jit="all"``
-compiles eagerly, ``jit="off"`` disables the tier) it is recompiled to
-specialized source with guest registers as Python locals and constants
-folded, and the dispatch-table entries for that content are swapped in
-place.  Compiled artifacts persist in the trace-cache directory
-(:mod:`repro.sim.jitcache`) keyed by raw words + codegen version, so a
-warm process binds JIT blocks without running codegen.  All tiers are
-cycle-identical: tiering only changes host speed, never simulated
-counters.
+A fused block runs at one of two tiers:
+
+* **tier 0** — the tuple of the block's per-instruction closures, run
+  in order by one generic loop: threaded code with no codegen and no
+  ``exec``, so cold code costs only its decode;
+* **JIT** — the template JIT (:mod:`repro.sim.jit`), the only
+  superblock compiler: guest registers as Python locals, constants
+  folded, batched cycle accounting.  Under ``jit="hot"`` (the default)
+  a block's content is compiled once it has executed ``jit_threshold``
+  times on this CPU; content that already has compiled code in this
+  process binds it at first dispatch.  ``jit="all"`` compiles every
+  fused block at first dispatch and ``jit="off"`` keeps tier 0 only.
+  Compiled artifacts persist in the trace-cache directory
+  (:mod:`repro.sim.jitcache`) keyed by raw words + codegen version, so
+  a warm process binds JIT blocks without running codegen.
+
+All tiers are cycle-identical: tiering only changes host speed, never
+simulated counters.
 
 Writes into executable regions (i.e. dynamic binary rewriting by the
 SoftCache) invalidate the affected decode-cache entries *and every
@@ -63,19 +71,14 @@ from .errors import (
     SimError,
 )
 from .jit import (
-    JIT_MODES,
     JitStats,
-    _SB_ALU_R,
-    _SB_ALU_R_HELPERS,
-    _SB_BRANCH_COND,
-    _SB_LOADS,
     _SB_STORES,
     _SB_STRAIGHT_OPS,
     _SB_TERM_OPS,
-    _sb_alu_i_expr,
     _sdiv,
     _srem,
     jit_codegen,
+    validate_jit,
 )
 from . import jitcache
 from .memory import Memory
@@ -118,17 +121,21 @@ _CHUNK = 16384
 _SAFE_MARGIN = _CHUNK * FUSE_LIMIT
 
 
-def _classify_word(word: int) -> int:
-    """Decode *word* once and memoize its fusion class (and the Insn)."""
+def _decode_word(word: int):
+    """Decode *word* once per process (raises as :func:`decode` does)."""
     ins = _DECODE_MEMO.get(word)
     if ins is None:
-        try:
-            ins = decode(word)
-        except Exception:
-            _WORD_CLASS[word] = 2
-            return 2
-        _DECODE_MEMO[word] = ins
-    op = ins.op
+        ins = _DECODE_MEMO[word] = decode(word)
+    return ins
+
+
+def _classify_word(word: int) -> int:
+    """Decode *word* once and memoize its fusion class (and the Insn)."""
+    try:
+        op = _decode_word(word).op
+    except Exception:
+        _WORD_CLASS[word] = 2
+        return 2
     cls = 0 if op in _SB_STRAIGHT_OPS else 1 if op in _SB_TERM_OPS else 2
     _WORD_CLASS[word] = cls
     return cls
@@ -138,7 +145,7 @@ def _classify_word(word: int) -> int:
 class SuperblockStats:
     """Fusion and invalidation counters for the superblock layer."""
 
-    #: Superblocks compiled (>= 2 instructions fused into one closure).
+    #: Superblocks fused (>= 2 instructions in one dispatch entry).
     fused_blocks: int = 0
     #: Total instructions covered by those superblocks.
     fused_instructions: int = 0
@@ -177,15 +184,13 @@ class CPU:
         self.sys_hook: SysHook | None = None
         #: Fuse straight-line code into superblocks in :meth:`run`.
         self.superblocks = superblocks
-        if jit not in JIT_MODES:
-            raise ValueError(
-                f"jit must be one of {JIT_MODES}, got {jit!r}")
-        #: Template-JIT tier policy: "off" keeps every fused block on
-        #: the closure path, "hot" promotes a block's content after
+        validate_jit(jit, jit_threshold)
+        #: Template-JIT tier policy: "off" keeps every fused block at
+        #: tier 0, "hot" promotes a block's content after
         #: ``jit_threshold`` executions, "all" JIT-compiles every fused
         #: block at first dispatch.
         self.jit = jit
-        self.jit_threshold = max(1, int(jit_threshold))
+        self.jit_threshold = jit_threshold
         #: Content tag of the image this CPU executes (live code
         #: update): part of the in-process and persistent JIT cache
         #: keys, so artifacts from one image version can never be
@@ -195,12 +200,17 @@ class CPU:
         self.jit_stats = JitStats()
         self.sb_stats = SuperblockStats()
         #: Flight-recorder hook: ``hook(kind, pc, n)`` with kind one of
-        #: "fuse" (superblock compiled, n = fused instructions),
+        #: "fuse" (superblock fused, n = fused instructions),
         #: "sb_invalidate" (a code write killed the block at pc) or
         #: "flush" (whole decode/superblock cache dropped).  None keeps
         #: the hot paths hook-free.
         self.trace_hook: Callable[[str, int, int], None] | None = None
+        #: Per-address decode cache: pc -> per-instruction closure.
         self._decoded: dict[int, Callable[[int], int]] = {}
+        #: Word -> per-instruction closure.  Closures depend only on
+        #: their word, so every address (and every tier-0 block) holding
+        #: a word shares one closure; never invalidated.
+        self._word_fns: dict[int, Callable[[int], int]] = {}
         #: Superblock dispatch table: block-start pc -> closure.
         self._blocks: dict[int, Callable[[int], int]] = {}
         #: Block-start pc -> end address (exclusive) of its span.
@@ -214,15 +224,14 @@ class CPU:
         self._code_gen = [0]
         #: Precise pc of a fault raised from inside a fused block.
         self._fault_pc: int | None = None
-        #: Content-keyed superblock function cache: raw word tuple ->
-        #: compiled closure.  Generated superblock code is entirely
-        #: offset-relative (absolute targets come from the words
-        #: themselves) and binds only per-CPU state, so identical word
-        #: runs reuse one closure across evict/flush/retranslate cycles
-        #: without re-running codegen or ``exec``.
+        #: Content-keyed tier-0 block cache: raw word tuple -> block
+        #: function.  Tier-0 blocks are pc-relative (their closures
+        #: depend only on the words) and bind only per-CPU state, so
+        #: identical word runs reuse one block across
+        #: evict/flush/retranslate cycles.
         self._sb_fn_cache: dict[tuple[int, ...], Callable[[int], int]] = {}
-        #: Reusable ``exec`` namespace for superblock binding (built
-        #: lazily; generated code captures everything through default
+        #: Reusable ``exec`` namespace for JIT binding (built lazily;
+        #: generated code captures everything through default
         #: arguments, so one dict serves every bind).
         self._sb_exec_ns: dict | None = None
         #: Content key -> shared hotness cell ([execution count]); one
@@ -232,7 +241,7 @@ class CPU:
         #: Content key -> bound JIT-tier function for this CPU.
         self._sb_jit_fns: dict[tuple[int, ...], Callable[[int], int]] = {}
         #: Block-start pc -> content key of the block registered there
-        #: (introspection + promotion rebinding).
+        #: (introspection).
         self._block_key: dict[int, tuple[int, ...]] = {}
         #: Interned id of this CPU's per-op cost table; part of the
         #: module-level codegen cache key (costs are baked into the
@@ -341,18 +350,24 @@ class CPU:
             raise FetchFault(pc, "misaligned pc")
         off = pc - region.base
         word = int.from_bytes(region.buf[off:off + 4], "little")
-        ins = _DECODE_MEMO.get(word)
-        if ins is None:
-            try:
-                ins = decode(word)
-            except Exception as exc:
-                raise IllegalInstruction(pc, word) from exc
-            _DECODE_MEMO[word] = ins
+        fn = self._word_fns.get(word)
+        if fn is None:
+            fn = self._closure(word, pc)
+        self._decoded[pc] = fn
+        return fn
+
+    def _closure(self, word: int, pc: int) -> Callable[[int], int]:
+        """Build and memoize the closure for *word*; *pc* only labels
+        the :class:`IllegalInstruction` raised when it does not
+        decode."""
+        try:
+            ins = _decode_word(word)
+        except Exception as exc:
+            raise IllegalInstruction(pc, word) from exc
         factory = _FACTORIES.get(ins.op)
         if factory is None:  # pragma: no cover - table is exhaustive
             raise IllegalInstruction(pc, word)
-        fn = factory(self, ins, pc)
-        self._decoded[pc] = fn
+        fn = self._word_fns[word] = factory(self, ins)
         return fn
 
     # -- superblock construction ------------------------------------------
@@ -380,13 +395,18 @@ class CPU:
         return fn
 
     def _build_block(self, pc: int) -> Callable[[int], int]:
-        """Fuse the straight-line run starting at *pc* into one closure.
+        """Fuse the straight-line run starting at *pc* into one block.
 
         Falls back to the per-instruction closure when the word at *pc*
         is a control transfer, a trap-class instruction, or fusion would
         cover fewer than two instructions.  Decode problems *inside* the
         straight-line run just end the block early; the offending word
         raises with exact pc/stats when (and only when) it is reached.
+
+        The block binds this CPU's JIT function for its content, else
+        its tier-0 block; new content binds compiled code at once under
+        ``jit="all"``, or under ``jit="hot"`` when this process already
+        compiled it.
         """
         region = self.mem.region_at(pc)  # raises MemoryFault if unmapped
         if pc & 3 or not region.executable:
@@ -429,74 +449,86 @@ class CPU:
         if fused < 2:
             return self._register_block(pc, pc + 4, self._decode_at(pc), 0)
         key = tuple(words)
-        end_addr = addr + 4 if has_term else addr
         mode = self.jit
-        if mode != "off":
-            jfn = self._sb_jit_fns.get(key)
-            if jfn is None and mode == "all":
-                jfn = self._jit_for_key(key, pc)
-            if jfn is not None:
-                self._block_key[pc] = key
-                return self._register_block(pc, end_addr, jfn, fused)
-        fn = self._sb_fn_cache.get(key)
+        fn = self._sb_jit_fns.get(key) if mode != "off" else None
         if fn is None:
-            insns, term = self._insns_for_key(key)
-            fn = _compile_superblock(self, 0, insns, term, key)
-            if mode == "hot":
-                fn = self._wrap_hot(key, fn)
-            self._sb_fn_cache[key] = fn
+            fn = self._sb_fn_cache.get(key)
+        if fn is None:
+            if mode == "all" or (mode == "hot" and (
+                    self._sb_cost_tag, self.image_tag, key)
+                    in _SB_JIT_COMPILED):
+                fn = self._jit_for_key(key, pc)
+            else:
+                fn = self._sb_fn_cache[key] = self._tier0(key, pc)
         self._block_key[pc] = key
-        return self._register_block(pc, end_addr, fn, fused)
+        return self._register_block(
+            pc, addr + 4 if has_term else addr, fn, fused)
 
-    # -- template-JIT tier ------------------------------------------------
+    # -- tier 0 and the template-JIT tier ---------------------------------
 
-    def _wrap_hot(self, key: tuple[int, ...], fn: Callable[[int], int]
-                  ) -> Callable[[int], int]:
-        """Wrap a closure-tier block in a hotness counter that promotes
-        the content to the JIT tier at ``jit_threshold`` executions.
-
-        The count cell is shared per content key, so every pc the same
-        word run is translated to contributes heat; at promotion the
-        dispatch table entry of *every* live block with this content is
-        swapped to the JIT function.  The wrapper adds no simulated
-        instructions or cycles — tiering is host-speed policy only.
-        """
-        cell = self._sb_counts.get(key)
-        if cell is None:
-            cell = [0]
-            self._sb_counts[key] = cell
+    def _tier0(self, key: tuple[int, ...], pc: int) -> Callable[[int], int]:
+        """Bind the tier-0 block for *key*: its per-instruction closures
+        run in order by one loop.  Each closure counts itself, so counts
+        stay exact mid-block; an exception records the raising word's
+        pc in ``_fault_pc``.  A block holding a store re-checks the code
+        generation after each word and returns the next pc once a store
+        rewrote code.  Under ``jit="hot"`` it first counts its content's
+        heat (shared by every pc holding the words) and at
+        ``jit_threshold`` hands over to :meth:`_promote`."""
+        get = self._word_fns.get
+        fns = tuple([get(word) or self._closure(word, pc) for word in key])
+        guard = any(_DECODE_MEMO[word].op in _SB_STORES for word in key)
+        cell = (self._sb_counts.setdefault(key, [0])
+                if self.jit == "hot" else None)
         threshold = self.jit_threshold
-        blocks = self._blocks
+        code_gen = self._code_gen
+        promote = self._promote
 
-        def counting(pc: int, fn=fn, cell=cell) -> int:
-            n = cell[0] + 1
-            cell[0] = n
-            if n == threshold:
-                jfn = self._jit_for_key(key, pc)
-                self.jit_stats.jit_promotions += 1
-                self._sb_fn_cache[key] = jfn
-                for start, k in self._block_key.items():
-                    if k == key and start in blocks:
-                        blocks[start] = jfn
-                if self.trace_hook is not None:
-                    self.trace_hook("jit_promote", pc, n)
-                return jfn(pc)
-            return fn(pc)
-        return counting
+        def block(pc: int) -> int:
+            if cell is not None:
+                n = cell[0] + 1
+                cell[0] = n
+                if n >= threshold:
+                    return promote(key, pc, n)(pc)
+            try:
+                if guard:
+                    gen = code_gen[0]
+                    for fn in fns:
+                        pc = fn(pc)
+                        if code_gen[0] != gen:
+                            break
+                else:
+                    for fn in fns:
+                        pc = fn(pc)
+            except Exception:
+                self._fault_pc = pc
+                raise
+            return pc
+        return block
+
+    def _promote(self, key: tuple[int, ...], pc: int, n: int
+                 ) -> Callable[[int], int]:
+        """Tier 0 -> JIT once *key*'s heat *n* reached the threshold:
+        bind the JIT function (one promotion per key) and swap only the
+        dispatching *pc*; other pcs swap at their own next dispatch."""
+        jfn = self._sb_jit_fns.get(key)
+        if jfn is None:
+            jfn = self._jit_for_key(key, pc)
+            self.jit_stats.jit_promotions += 1
+            if self.trace_hook is not None:
+                self.trace_hook("jit_promote", pc, n)
+        self._blocks[pc] = jfn
+        return jfn
 
     def _insns_for_key(self, key: tuple[int, ...]):
         """Re-derive the relative ``(offset, Insn)`` list (and optional
         terminator) from a content key.  The fuser only ever places a
         control transfer last, so the split is unambiguous."""
-        memo = _DECODE_MEMO
         insns: list[tuple[int, object]] = []
         term: tuple[int, object] | None = None
         last = len(key) - 1
         for i, word in enumerate(key):
-            ins = memo.get(word)
-            if ins is None:
-                ins = decode(word)
-                memo[word] = ins
+            ins = _decode_word(word)
             if i == last and ins.op in _SB_TERM_OPS:
                 term = (4 * i, ins)
             else:
@@ -507,7 +539,8 @@ class CPU:
                      ) -> Callable[[int], int]:
         """Bind the JIT-tier function for a content key: per-CPU cache,
         then the in-process compiled cache, then the persistent
-        artifact store, then (cold) codegen + store."""
+        artifact store, then (cold) codegen + store.  The only path
+        that runs ``compile()`` or ``exec`` for a fused block."""
         jfn = self._sb_jit_fns.get(key)
         if jfn is not None:
             return jfn
@@ -540,11 +573,22 @@ class CPU:
             self.trace_hook(kind, pc, len(key))
         return jfn
 
+    def _tier_of(self, start: int, key: tuple[int, ...] | None) -> str:
+        """Tier of the dispatch entry at *start*: "single" (one
+        per-instruction closure), "jit" or "tier0"."""
+        if key is None:
+            return "single"
+        jfn = self._sb_jit_fns.get(key)
+        if jfn is not None and self._blocks.get(start) is jfn:
+            return "jit"
+        return "tier0"
+
     def superblock_info(self, pc: int) -> list[dict]:
         """Describe every live block whose span covers *pc* (for
         ``repro debug --dump-superblock``): start/end, tier
-        ("jit"/"closure"/"single"), instruction count, hotness count
-        (None when untracked, e.g. jit="all") and generated source."""
+        ("jit"/"tier0"/"single"), instruction count, hotness count
+        (None when untracked, e.g. jit="all") and, for JIT blocks, the
+        generated source (None otherwise: tier 0 generates none)."""
         span_get = self._block_span.get
         starts = sorted(
             s for s in self._block_cover.get(pc >> _COVER_SHIFT, ())
@@ -553,20 +597,18 @@ class CPU:
         for start in starts:
             end = self._block_span.get(start, start + 4)
             key = self._block_key.get(start)
+            tier = self._tier_of(start, key)
             if key is None:
-                out.append({"start": start, "end": end, "tier": "single",
+                out.append({"start": start, "end": end, "tier": tier,
                             "instructions": (end - start) // 4,
                             "hits": None, "source": None, "words": None})
                 continue
-            jit = key in self._sb_jit_fns
             cached = (_SB_JIT_COMPILED.get(
-                          (self._sb_cost_tag, self.image_tag, key))
-                      if jit else
-                      _SB_COMPILED_CACHE.get((self._sb_cost_tag, key)))
+                (self._sb_cost_tag, self.image_tag, key))
+                if tier == "jit" else None)
             cell = self._sb_counts.get(key)
             out.append({
-                "start": start, "end": end,
-                "tier": "jit" if jit else "closure",
+                "start": start, "end": end, "tier": tier,
                 "instructions": len(key),
                 "hits": cell[0] if cell is not None else None,
                 "source": cached[2] if cached is not None else None,
@@ -579,32 +621,30 @@ class CPU:
 
         The ops plane's ``/inspect/superblocks`` snapshot: how many
         live blocks run at each interpreter tier
-        ("jit"/"closure"/"single"), the JIT policy knobs, and the
+        ("jit"/"tier0"/"single"), the JIT policy knobs, and the
         *top* hottest tracked blocks by hotness-cell count.  Read-only
         over the dispatch tables; hotness cells are None when
-        untracked (``jit="all"`` promotes eagerly and keeps no
-        counts).
+        untracked (``jit="all"`` compiles eagerly and ``jit="off"``
+        never promotes, so neither keeps counts).
         """
-        tiers = {"jit": 0, "closure": 0, "single": 0}
+        tiers = {"jit": 0, "tier0": 0, "single": 0}
         entries: list[tuple[int, int, str, int, int | None]] = []
-        jit_fns = self._sb_jit_fns
         key_get = self._block_key.get
         span_get = self._block_span.get
         count_get = self._sb_counts.get
         for start in list(self._blocks):
             key = key_get(start)
-            if key is None:
-                tiers["single"] += 1
-                continue
-            tier = "jit" if key in jit_fns else "closure"
+            tier = self._tier_of(start, key)
             tiers[tier] += 1
+            if key is None:
+                continue
             cell = count_get(key)
             entries.append((start, span_get(start, start + 4), tier,
                             len(key), cell[0] if cell else None))
         entries.sort(key=lambda e: -1 if e[4] is None else e[4],
                      reverse=True)
         return {
-            "blocks": tiers["jit"] + tiers["closure"] + tiers["single"],
+            "blocks": sum(tiers.values()),
             "tiers": tiers,
             "jit_mode": self.jit,
             "jit_threshold": self.jit_threshold,
@@ -731,12 +771,14 @@ class CPU:
 
 
 # ---------------------------------------------------------------------------
-# Closure factories, one per opcode.  Each returns ``fn(pc) -> next_pc``.
-# The factories aggressively specialize: rd == zero becomes a pure nop
-# with correct cost, constants are folded into the closure.
+# Closure factories, one per opcode.  Each returns ``fn(pc) -> next_pc``
+# depending only on the instruction word: pc-relative targets and link
+# addresses are computed from the runtime pc.  The factories
+# aggressively specialize: rd == zero becomes a pure nop with correct
+# cost, constants are folded into the closure.
 # ---------------------------------------------------------------------------
 
-_Factory = Callable[["CPU", object, int], Callable[[int], int]]
+_Factory = Callable[["CPU", object], Callable[[int], int]]
 _FACTORIES: dict[Op, _Factory] = {}
 
 
@@ -747,19 +789,27 @@ def _register(op: Op):
     return deco
 
 
+def _nop(cpu: CPU, op: Op) -> Callable[[int], int]:
+    """Closure for an ALU op writing ``zero``: only its cost remains."""
+    st = cpu.stats
+    cost = cpu.costs.op_cycles[op]
+
+    def ex(pc: int) -> int:
+        st[0] += 1
+        st[1] += cost
+        return pc + 4
+    return ex
+
+
 def _alu_factory(op: Op, compute):
     """Build a factory for a 3-register ALU op with semantics *compute*."""
-    def factory(cpu: CPU, ins, pc: int):
+    def factory(cpu: CPU, ins):
         regs = cpu.regs
         st = cpu.stats
         cost = cpu.costs.op_cycles[op]
         rd, rs1, rs2 = ins.rd, ins.rs1, ins.rs2
         if rd == 0:
-            def ex(pc: int) -> int:
-                st[0] += 1
-                st[1] += cost
-                return pc + 4
-            return ex
+            return _nop(cpu, op)
 
         def ex(pc: int) -> int:
             st[0] += 1
@@ -791,17 +841,13 @@ _alu_factory(Op.REM, _srem)
 
 def _alui_factory(op: Op, compute):
     """Factory builder for register-immediate ALU ops."""
-    def factory(cpu: CPU, ins, pc: int):
+    def factory(cpu: CPU, ins):
         regs = cpu.regs
         st = cpu.stats
         cost = cpu.costs.op_cycles[op]
         rd, rs1, imm = ins.rd, ins.rs1, ins.imm
         if rd == 0:
-            def ex(pc: int) -> int:
-                st[0] += 1
-                st[1] += cost
-                return pc + 4
-            return ex
+            return _nop(cpu, op)
 
         def ex(pc: int) -> int:
             st[0] += 1
@@ -827,7 +873,7 @@ _alui_factory(Op.SRAI, lambda a, i: (to_signed32(a) >> (i & 31)) & MASK32)
 
 
 @_register(Op.LUI)
-def _f_lui(cpu: CPU, ins, pc: int):
+def _f_lui(cpu: CPU, ins):
     # LUI ignores rs1: specialize to a pure constant store instead of
     # the generic register-immediate closure (which would read a source
     # register it never uses).
@@ -837,11 +883,7 @@ def _f_lui(cpu: CPU, ins, pc: int):
     rd = ins.rd
     value = (ins.imm << 16) & MASK32
     if rd == 0:
-        def ex(pc: int) -> int:
-            st[0] += 1
-            st[1] += cost
-            return pc + 4
-        return ex
+        return _nop(cpu, Op.LUI)
 
     def ex(pc: int) -> int:
         st[0] += 1
@@ -852,7 +894,7 @@ def _f_lui(cpu: CPU, ins, pc: int):
 
 
 def _load_factory(op: Op, reader_name: str, sign_bits: int | None):
-    def factory(cpu: CPU, ins, pc: int):
+    def factory(cpu: CPU, ins):
         regs = cpu.regs
         st = cpu.stats
         mem = cpu.mem
@@ -892,7 +934,7 @@ _load_factory(Op.LBU, "read_byte", None)
 
 
 def _store_factory(op: Op, writer_name: str):
-    def factory(cpu: CPU, ins, pc: int):
+    def factory(cpu: CPU, ins):
         regs = cpu.regs
         st = cpu.stats
         mem = cpu.mem
@@ -915,18 +957,17 @@ _store_factory(Op.SB, "write_byte")
 
 
 def _branch_factory(op: Op, test):
-    def factory(cpu: CPU, ins, pc: int):
+    def factory(cpu: CPU, ins):
         regs = cpu.regs
         st = cpu.stats
         cost = cpu.costs.op_cycles[op]
         rs1, rs2 = ins.rs1, ins.rs2
-        taken = pc + 4 + (ins.imm << 2)
-        fallthrough = pc + 4
+        offset = 4 + (ins.imm << 2)
 
         def ex(pc: int) -> int:
             st[0] += 1
             st[1] += cost
-            return taken if test(regs[rs1], regs[rs2]) else fallthrough
+            return pc + offset if test(regs[rs1], regs[rs2]) else pc + 4
         return ex
     _FACTORIES[op] = factory
 
@@ -940,7 +981,7 @@ _branch_factory(Op.BGEU, lambda a, b: a >= b)
 
 
 @_register(Op.J)
-def _f_j(cpu: CPU, ins, pc: int):
+def _f_j(cpu: CPU, ins):
     st = cpu.stats
     cost = cpu.costs.op_cycles[Op.J]
     target = ins.imm << 2
@@ -953,23 +994,22 @@ def _f_j(cpu: CPU, ins, pc: int):
 
 
 @_register(Op.JAL)
-def _f_jal(cpu: CPU, ins, pc: int):
+def _f_jal(cpu: CPU, ins):
     regs = cpu.regs
     st = cpu.stats
     cost = cpu.costs.op_cycles[Op.JAL]
     target = ins.imm << 2
-    link = pc + 4
 
     def ex(pc: int) -> int:
         st[0] += 1
         st[1] += cost
-        regs[RA] = link
+        regs[RA] = pc + 4
         return target
     return ex
 
 
 @_register(Op.JR)
-def _f_jr(cpu: CPU, ins, pc: int):
+def _f_jr(cpu: CPU, ins):
     regs = cpu.regs
     st = cpu.stats
     cost = cpu.costs.op_cycles[Op.JR]
@@ -983,25 +1023,24 @@ def _f_jr(cpu: CPU, ins, pc: int):
 
 
 @_register(Op.JALR)
-def _f_jalr(cpu: CPU, ins, pc: int):
+def _f_jalr(cpu: CPU, ins):
     regs = cpu.regs
     st = cpu.stats
     cost = cpu.costs.op_cycles[Op.JALR]
     rd, rs1 = ins.rd, ins.rs1
-    link = pc + 4
 
     def ex(pc: int) -> int:
         st[0] += 1
         st[1] += cost
         target = regs[rs1]
         if rd:
-            regs[rd] = link
+            regs[rd] = pc + 4
         return target
     return ex
 
 
 @_register(Op.RET)
-def _f_ret(cpu: CPU, ins, pc: int):
+def _f_ret(cpu: CPU, ins):
     regs = cpu.regs
     st = cpu.stats
     cost = cpu.costs.op_cycles[Op.RET]
@@ -1014,7 +1053,7 @@ def _f_ret(cpu: CPU, ins, pc: int):
 
 
 @_register(Op.TRAP)
-def _f_trap(cpu: CPU, ins, pc: int):
+def _f_trap(cpu: CPU, ins):
     st = cpu.stats
     code, operand = ins.rd, ins.imm
 
@@ -1031,7 +1070,7 @@ def _f_trap(cpu: CPU, ins, pc: int):
 
 
 @_register(Op.SYSCALL)
-def _f_syscall(cpu: CPU, ins, pc: int):
+def _f_syscall(cpu: CPU, ins):
     st = cpu.stats
     service = ins.imm
 
@@ -1046,7 +1085,7 @@ def _f_syscall(cpu: CPU, ins, pc: int):
 
 
 @_register(Op.BREAK)
-def _f_break(cpu: CPU, ins, pc: int):
+def _f_break(cpu: CPU, ins):
     code = ins.imm
 
     def ex(pc: int) -> int:
@@ -1055,7 +1094,7 @@ def _f_break(cpu: CPU, ins, pc: int):
 
 
 @_register(Op.HALT)
-def _f_halt(cpu: CPU, ins, pc: int):
+def _f_halt(cpu: CPU, ins):
     def ex(pc: int) -> int:
         cpu.stats[0] += 1
         cpu.stats[1] += 1
@@ -1064,92 +1103,21 @@ def _f_halt(cpu: CPU, ins, pc: int):
     return ex
 
 
-# ---------------------------------------------------------------------------
-# Superblock compiler.  A straight-line run of simple instructions (ALU,
-# loads, stores) plus an optional fused control-transfer terminator is
-# compiled into ONE Python function executing the whole block per
-# dispatch.  Stats are batched into a single update at the block end;
-# if a memory access faults mid-block, the except handler maps the
-# traceback line back to the faulting instruction and commits exactly
-# the per-instruction counts for the executed prefix (including the
-# faulting op), so a mid-block MemoryFault is indistinguishable from
-# per-instruction execution.  All addresses are emitted relative to the
-# entry pc, so blocks with identical instruction content share one
-# compiled code object through ``_SB_CODE_CACHE`` — retranslation under
-# tcache thrashing never pays the compile cost twice.
-# ---------------------------------------------------------------------------
-
-_M = "4294967295"       # MASK32 literal
-_S = "2147483648"       # sign-flip literal
-
-_SB_CODE_CACHE: dict[str, object] = {}
-
-#: (cost tag, word tuple) -> (code object, fault-fixup table, source)
-#: for the closure tier.  Lets a fresh CPU (new benchmark round, new
-#: client system) skip source generation entirely for content it has
-#: seen under the same cost model; only the per-CPU ``exec`` binding
-#: runs.
-_SB_COMPILED_CACHE: dict[tuple, tuple[object, dict, str]] = {}
-
-#: Same idea for the JIT tier: (cost tag, image tag, word tuple) -> the
-#: ``(code, fixups, src)`` triple produced by :func:`jit_codegen` (or
-#: loaded from the persistent store in :mod:`repro.sim.jitcache`).
+#: (cost tag, image tag, word tuple) -> the ``(code, fixups, src)``
+#: triple produced by :func:`jit_codegen` (or loaded from the persistent
+#: store in :mod:`repro.sim.jitcache`).  Lets a fresh CPU (new benchmark
+#: round, new client system) bind compiled code for content this
+#: process has seen under the same cost model and image without
+#: codegen; only the per-CPU ``exec`` binding runs.
 _SB_JIT_COMPILED: dict[tuple, tuple[object, dict, str]] = {}
 
 #: Cost-table signature -> small interned tag (see CPU._sb_cost_tag).
 _COST_TAGS: dict[tuple, int] = {}
 
 
-def _sb_term_lines(ins, off: int) -> list[str]:
-    """Statement lines for a fused terminator at block offset *off*."""
-    op = ins.op
-    if op in _SB_BRANCH_COND:
-        taken = off + 4 + (ins.imm << 2)
-        fall = off + 4
-        cond = _SB_BRANCH_COND[op](f"r[{ins.rs1}]", f"r[{ins.rs2}]")
-        return [f"return pc + {taken} if {cond} else pc + {fall}"]
-    if op is Op.J:
-        return [f"return {ins.imm << 2}"]
-    if op is Op.JAL:
-        return [f"r[{RA}] = pc + {off + 4}", f"return {ins.imm << 2}"]
-    if op is Op.JR:
-        return [f"return r[{ins.rs1}]"]
-    if op is Op.JALR:
-        if ins.rd:
-            return [f"v = r[{ins.rs1}]",
-                    f"r[{ins.rd}] = pc + {off + 4}",
-                    "return v"]
-        return [f"return r[{ins.rs1}]"]
-    if op is Op.RET:
-        return [f"return r[{RA}]"]
-    raise AssertionError(op)  # pragma: no cover
-
-
-def _compile_superblock(cpu: CPU, start: int, insns, term, key=None):
-    """Generate, compile and bind the superblock closure for *insns*
-    (list of ``(addr, Insn)``) with optional fused terminator *term*.
-
-    With *key* (the raw word tuple) the generated code object and its
-    fault-fixup table are reused from :data:`_SB_COMPILED_CACHE`
-    across CPUs sharing a cost table; only the ``exec`` that binds
-    this CPU's registers/stats/memory runs per CPU.
-    """
-    cache_key = (cpu._sb_cost_tag, key) if key is not None else None
-    cached = (_SB_COMPILED_CACHE.get(cache_key)
-              if cache_key is not None else None)
-    if cached is None:
-        cached = _sb_codegen(cpu.costs.op_cycles, start, insns, term)
-        if cache_key is not None:
-            _SB_COMPILED_CACHE[cache_key] = cached
-    code, fixups, _src = cached
-    return _bind_superblock(cpu, code, fixups)
-
-
 def _bind_superblock(cpu: CPU, code, fixups):
-    """``exec`` a generated superblock code object against this CPU's
-    registers/stats/memory and return the bound function.  Shared by
-    the closure tier and the JIT tier (both templates draw from the
-    same namespace of default-argument bindings).
+    """``exec`` a JIT-generated superblock code object against this
+    CPU's registers/stats/memory and return the bound function.
 
     The namespace dict is built once per CPU and reused for every
     bind: generated functions capture their bindings as default
@@ -1189,111 +1157,3 @@ def _bind_superblock(cpu: CPU, code, fixups):
         ns["_F"] = fixups
     exec(code, ns)
     return ns["_sb"]
-
-
-def _sb_codegen(costs, start: int, insns, term):
-    """Generate (code object, fixup table, source) for one superblock
-    in the closure-tier template (registers stay in ``r[...]``)."""
-    body: list[str] = []
-    used: set[str] = set()
-    has_mem = False
-    has_store = False
-    tot_n = 0
-    tot_c = 0
-    #: (body line index, block offset, counts incl. that op) per mem op.
-    mem_marks: list[tuple[int, int, int, int]] = []
-
-    for addr, ins in insns:
-        op = ins.op
-        off = addr - start
-        tot_n += 1
-        tot_c += costs[op]
-        if op in _SB_LOADS:
-            reader, sign_bits = _SB_LOADS[op]
-            used.add(reader)
-            has_mem = True
-            addr_expr = f"(r[{ins.rs1}] + ({ins.imm})) & {_M}"
-            rd = ins.rd
-            mem_marks.append((len(body), off, tot_n, tot_c))
-            if rd == 0:
-                # read for fault semantics, discard the value
-                body.append(f"{reader}({addr_expr})")
-            elif sign_bits is None:
-                body.append(f"r[{rd}] = {reader}({addr_expr})")
-            else:
-                flip = 1 << (sign_bits - 1)
-                wrap = 1 << sign_bits
-                body.append(f"v = {reader}({addr_expr})")
-                body.append(
-                    f"r[{rd}] = (v - {wrap}) & {_M} if v & {flip} else v")
-        elif op in _SB_STORES:
-            writer = _SB_STORES[op]
-            used.add(writer)
-            has_mem = True
-            has_store = True
-            mem_marks.append((len(body), off, tot_n, tot_c))
-            body.append(f"{writer}((r[{ins.rs1}] + ({ins.imm})) & {_M}, "
-                        f"r[{ins.rd}])")
-            # the store may have rewritten code (even this block):
-            # commit the executed prefix and fall back to fresh dispatch
-            # so patched words take effect exactly as they would under
-            # per-instruction decode
-            body.append(f"if cw[0] != g: st[0] += {tot_n}; "
-                        f"st[1] += {tot_c}; return pc + {off + 4}")
-        else:
-            if op in _SB_ALU_R:
-                expr = _SB_ALU_R[op](f"r[{ins.rs1}]", f"r[{ins.rs2}]")
-                used.update(_SB_ALU_R_HELPERS.get(op, ()))
-            else:
-                expr = _sb_alu_i_expr(ins, f"r[{ins.rs1}]")
-                if op is Op.SRAI:
-                    used.add("sgn")
-            if ins.rd:
-                body.append(f"r[{ins.rd}] = {expr}")
-
-    if term is not None:
-        taddr, tins = term
-        tot_n += 1
-        tot_c += costs[tins.op]
-        body.append(f"st[0] += {tot_n}; st[1] += {tot_c}")
-        body.extend(_sb_term_lines(tins, taddr - start))
-    else:
-        body.append(f"st[0] += {tot_n}; st[1] += {tot_c}")
-        body.append(f"return pc + {insns[-1][0] + 4 - start}")
-
-    params = ["pc", "r=_r", "st=_st"]
-    if has_store:
-        params.append("cw=_cw")
-    if has_mem:
-        params.append("C=_C")
-        params.append("F=_F")
-    for name in ("rw", "rh", "rb", "ww", "wh", "wb",
-                 "sgn", "sdiv", "srem"):
-        if name in used:
-            params.append(f"{name}=_{name}")
-    lines = [f"def _sb({', '.join(params)}):"]
-    fixups: dict[int, tuple[int, int, int]] = {}
-    if has_mem:
-        if has_store:
-            lines.append("    g = cw[0]")
-        lines.append("    try:")
-        lines.extend("        " + stmt for stmt in body)
-        lines.append("    except Exception as e:")
-        lines.append("        f = F.get(e.__traceback__.tb_lineno)")
-        lines.append("        if f is not None:")
-        lines.append("            st[0] += f[1]; st[1] += f[2]")
-        lines.append("            C._fault_pc = pc + f[0]")
-        lines.append("        raise")
-        # body line i sits at source line i + base (def line, optional
-        # generation snapshot, try:, then 1-based numbering)
-        base = 3 + (1 if has_store else 0)
-        fixups = {i + base: (off, n, c) for i, off, n, c in mem_marks}
-    else:
-        lines.extend("    " + stmt for stmt in body)
-    src = "\n".join(lines) + "\n"
-
-    code = _SB_CODE_CACHE.get(src)
-    if code is None:
-        code = compile(src, "<superblock>", "exec")
-        _SB_CODE_CACHE[src] = code
-    return code, fixups, src

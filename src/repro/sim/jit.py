@@ -1,10 +1,11 @@
 """Template-JIT: superblocks compiled to specialized Python source.
 
-This module is the code generator for the interpreter's hottest tier.
-Where the closure tier (:func:`repro.sim.cpu._sb_codegen`) keeps guest
-registers in the shared ``r[...]`` list and pays one subscript per
-operand, the JIT template promotes every guest register the block
-touches into a **Python local variable**: registers read before being
+This module is the interpreter's only superblock compiler.  Cold fused
+blocks run at tier 0 (:meth:`repro.sim.cpu.CPU._tier0`: the block's
+per-instruction closures called in turn, each reading and writing the
+shared ``r[...]`` list); once a block's content is hot, the JIT
+template compiles it with every guest register the block touches
+promoted into a **Python local variable**: registers read before being
 written are loaded once in a prologue, intermediate values flow
 local-to-local, and modified registers are spilled back to ``r[...]``
 only at the block's exits (terminator, fall-through, the
@@ -54,6 +55,21 @@ JIT_CODEGEN_VERSION = 2
 
 #: Valid values of the ``jit`` knob (MachineConfig / SoftCacheConfig).
 JIT_MODES = ("off", "hot", "all")
+
+
+def validate_jit(jit, jit_threshold) -> None:
+    """Raise :class:`ValueError` naming the field unless *jit* is one of
+    :data:`JIT_MODES` and *jit_threshold* is an integer >= 1.
+
+    The one check behind both configs, :class:`~repro.sim.cpu.CPU` and
+    the ops plane's ``admin set``, so a bad setting fails where it is
+    given instead of at the first CPU built from it.
+    """
+    if jit not in JIT_MODES:
+        raise ValueError(f"jit must be one of {JIT_MODES}, got {jit!r}")
+    if not isinstance(jit_threshold, int) or jit_threshold < 1:
+        raise ValueError(
+            f"jit_threshold must be an integer >= 1, got {jit_threshold!r}")
 
 
 def _sdiv(a: int, b: int) -> int:
@@ -133,8 +149,8 @@ _SB_TERM_OPS = (frozenset(_SB_BRANCH_COND) |
 
 def _sb_alu_i_expr(ins, a: str) -> str:
     """Expression for a register-immediate ALU op with source text *a*
-    (``r[n]`` in the closure tier, a local or folded literal in the
-    JIT tier); immediates are folded into the text."""
+    (a local or a folded literal); immediates are folded into the
+    text."""
     op, imm = ins.op, ins.imm
     if op is Op.ADDI:
         return f"({a} + ({imm})) & {_M}"
@@ -173,7 +189,9 @@ class JitStats:
     jit_blocks: int = 0
     #: Instructions covered by those blocks.
     jit_instructions: int = 0
-    #: Dispatch-table swaps closure -> JIT (hot tier promotions).
+    #: Content keys promoted tier 0 -> JIT by heat (once per key; a
+    #: key bound from already-compiled code at first dispatch is not a
+    #: promotion).
     jit_promotions: int = 0
     #: Source generations actually executed (cold compiles).
     jit_codegen: int = 0

@@ -25,6 +25,7 @@ from ..layout import (
 from .costs import DEFAULT_COSTS, CostModel
 from .cpu import CPU, HaltExecution
 from .errors import SimError
+from .jit import validate_jit
 from .memory import Memory, Region
 
 
@@ -44,12 +45,16 @@ class MachineConfig:
     #: Fuse straight-line code into superblocks (host-side speed only;
     #: simulated instruction/cycle counts are identical either way).
     superblocks: bool = True
-    #: Template-JIT tier: "off", "hot" (promote after jit_threshold
-    #: executions) or "all" (compile every fused block eagerly).  Like
-    #: superblocks, host speed only — cycle-identical by construction.
+    #: Template-JIT tier: "off" (tier 0 only), "hot" (promote after
+    #: jit_threshold executions) or "all" (compile every fused block
+    #: eagerly).  Like superblocks, host speed only — cycle-identical
+    #: by construction.
     jit: str = "hot"
     #: Executions of a superblock's content before JIT promotion.
     jit_threshold: int = 16
+
+    def __post_init__(self):
+        validate_jit(self.jit, self.jit_threshold)
 
 
 class Machine:

@@ -34,6 +34,7 @@ from ..isa.registers import FP, RA
 from ..layout import FP_SENTINEL
 from ..net import Channel
 from ..net.faults import LinkDown
+from ..sim.jit import validate_jit
 from ..sim.machine import Machine
 from .mc import MemoryController
 from .chunks import Chunk, ExitKind
@@ -866,17 +867,16 @@ class BaseCacheController:
                 raise ValueError("prefetch_depth must be >= 0")
             self.prefetch_depth = depth
             applied["prefetch_depth"] = depth
-        if jit is not None:
-            if jit not in ("off", "hot", "all"):
-                raise ValueError(f"unknown jit mode {jit!r}")
-            self.cpu.jit = jit
-            applied["jit"] = jit
-        if jit_threshold is not None:
-            threshold = int(jit_threshold)
-            if threshold < 1:
-                raise ValueError("jit_threshold must be >= 1")
-            self.cpu.jit_threshold = threshold
-            applied["jit_threshold"] = threshold
+        if jit is not None or jit_threshold is not None:
+            cpu = self.cpu
+            mode = cpu.jit if jit is None else jit
+            threshold = (cpu.jit_threshold if jit_threshold is None
+                         else jit_threshold)
+            validate_jit(mode, threshold)
+            if jit is not None:
+                cpu.jit = applied["jit"] = mode
+            if jit_threshold is not None:
+                cpu.jit_threshold = applied["jit_threshold"] = threshold
         if len(applied) == 1:
             raise ValueError("admin set: no knob given")
         return applied

@@ -355,9 +355,11 @@ def dump_tcache(cc: BaseCacheController) -> str:
 
 def dump_superblock(cpu, pc: int) -> str:
     """Human-readable report on the superblock(s) covering *pc*: span,
-    tier (jit / closure / single), execution count where tracked, the
-    guest disassembly and — for compiled tiers — the generated Python
-    source actually dispatched (``repro debug --dump-superblock``)."""
+    tier (jit / tier0 / single), execution count where tracked, the
+    guest disassembly and — for JIT blocks — the generated Python
+    source actually dispatched (``repro debug --dump-superblock``).
+    Tier 0 generates no source, so its entries show only the guest
+    code."""
     infos = cpu.superblock_info(pc)
     if not infos:
         return (f"no live superblock covers pc {pc:#x} "

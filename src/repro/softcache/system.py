@@ -17,6 +17,7 @@ from ..isa import Op, decode
 from ..layout import LOCAL_BASE, align
 from ..net import Channel, LinkModel
 from ..sim.costs import DEFAULT_COSTS, CostModel
+from ..sim.jit import validate_jit
 from ..sim.machine import Machine, MachineConfig
 from .cc import BlockCacheController, ProcCacheController
 from .mc import MemoryController
@@ -68,8 +69,9 @@ class SoftCacheConfig:
     #: Superblock (threaded-code) execution in the interpreter.  Host
     #: speed only; never changes simulated counts.
     superblocks: bool = True
-    #: Template-JIT tier policy ("off" | "hot" | "all") and the hotness
-    #: threshold for "hot".  Host speed only; cycle-identical.
+    #: Template-JIT tier policy ("off" = tier 0 only | "hot" | "all")
+    #: and the hotness threshold for "hot".  Host speed only;
+    #: cycle-identical.
     jit: str = "hot"
     jit_threshold: int = 16
     #: Flight recorder (:class:`repro.obs.FlightRecorder`) to thread
@@ -95,9 +97,10 @@ class SoftCacheConfig:
 
     def __post_init__(self):
         from .policy import ReplacementPolicy, validate_policy_name
+        # fail at config time, not at first miss or first CPU
         if not isinstance(self.policy, ReplacementPolicy):
-            # fail at config time, not at first miss
             validate_policy_name(self.policy)
+        validate_jit(self.jit, self.jit_threshold)
 
 
 @dataclass

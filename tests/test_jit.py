@@ -1,11 +1,13 @@
-"""Template-JIT tier: equivalence, invalidation, persistence.
+"""Template-JIT tier: equivalence, invalidation, promotion, persistence.
 
 The JIT tier compiles fused superblocks to specialized Python source
 (registers as locals, constants folded, batched cycle accounting).
-Like the closure tier it must be architecturally invisible — identical
-registers, output, instruction and cycle counts to per-instruction
-dispatch — including under dynamic rewriting: a patch overlapping a
-JIT'd block must drop it exactly like a closure.  Compiled artifacts
+Like tier 0 (threaded per-instruction closures) it must be
+architecturally invisible — identical registers, output, instruction
+and cycle counts to per-instruction dispatch — including under dynamic
+rewriting: a patch overlapping a JIT'd block must drop it exactly like
+a tier-0 block.  It is the only superblock compiler, and it runs only
+for content that crossed the hotness threshold.  Compiled artifacts
 persist in the trace cache, so a warm process binds blocks with zero
 codegen.
 """
@@ -22,11 +24,14 @@ from hypothesis import given, settings, strategies as st
 from repro.asm import assemble_and_link
 from repro.isa import Insn, Op, encode
 from repro.sim import (
+    CPU,
     CycleLimitExceeded,
     JIT_CODEGEN_VERSION,
     Machine,
     MachineConfig,
+    Memory,
 )
+from repro.sim import cpu as cpu_mod
 from repro.sim import jitcache
 from repro.softcache import SoftCacheConfig, SoftCacheSystem
 from repro.workloads import build_workload
@@ -65,7 +70,7 @@ _IMAGE = assemble_and_link(LOOP_SRC, "loop")
 #: Configs whose architectural results must be indistinguishable.
 _MODES = {
     "per_insn": MachineConfig(superblocks=False),
-    "closure": MachineConfig(superblocks=True, jit="off"),
+    "tier0": MachineConfig(superblocks=True, jit="off"),
     "jit_hot": MachineConfig(superblocks=True, jit="hot",
                              jit_threshold=2),
     "jit_all": MachineConfig(superblocks=True, jit="all"),
@@ -82,19 +87,19 @@ def _run_mode(image, config):
 # -- cycle-identity across tiers --------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["closure", "jit_hot", "jit_all"])
+@pytest.mark.parametrize("mode", ["tier0", "jit_hot", "jit_all"])
 def test_jit_equivalent_on_loop(mode):
     want, _ = _run_mode(_IMAGE, _MODES["per_insn"])
     got, machine = _run_mode(_IMAGE, _MODES[mode])
     assert got == want
-    if mode != "closure":
+    if mode != "tier0":
         assert machine.cpu.jit_stats.jit_blocks > 0
 
 
 def test_jit_equivalent_on_workload():
     image = build_workload("sensor", 0.02)
     want, _ = _run_mode(image, _MODES["per_insn"])
-    for mode in ("closure", "jit_hot", "jit_all"):
+    for mode in ("tier0", "jit_hot", "jit_all"):
         got, machine = _run_mode(image, _MODES[mode])
         assert got == want, mode
     js = machine.cpu.jit_stats  # jit_all: everything fused is JIT'd
@@ -207,7 +212,7 @@ def test_store_inside_jit_block_takes_effect():
     assert results[0] == results[1]
 
 
-# -- hypothesis property: jit=all ≡ jit=off ---------------------------
+# -- hypothesis property: per-instruction ≡ tier 0 ≡ JIT --------------
 
 _REGS = list(range(8, 24))
 
@@ -289,11 +294,185 @@ def _run_random(instructions, seeds, config):
 @given(programs())
 def test_jit_differential_random_programs(program):
     instructions, seeds = program
-    jit = _run_random(instructions, seeds,
-                      MachineConfig(superblocks=True, jit="all"))
-    ref = _run_random(instructions, seeds,
-                      MachineConfig(superblocks=True, jit="off"))
-    assert jit == ref
+    ref = _run_random(instructions, seeds, _MODES["per_insn"])
+    assert _run_random(instructions, seeds, _MODES["tier0"]) == ref
+    assert _run_random(instructions, seeds, _MODES["jit_all"]) == ref
+
+
+# -- tier 0 -> JIT promotion ------------------------------------------
+
+# ``twin_a`` and ``twin_b`` hold the same words (the ret is
+# pc-independent), so both pcs share one content key and its heat.
+TWIN_SRC = """
+    .global main
+    .global twin_a
+    .global twin_b
+main:
+    mv   s2, ra
+    li   s0, 6
+    li   s1, 0
+outer:
+    jal  twin_a
+    jal  twin_b
+    subi s0, s0, 1
+    bne  s0, zero, outer
+    mv   a0, s1
+    syscall putint
+    mv   ra, s2
+    li   a0, 0
+    ret
+twin_a:
+    addi s1, s1, 3
+    xori s1, s1, 5
+    ret
+twin_b:
+    addi s1, s1, 3
+    xori s1, s1, 5
+    ret
+"""
+
+
+@pytest.fixture
+def fresh_jit_cache(monkeypatch, artifact_dir):
+    """An empty in-process compiled cache and artifact store, so no
+    earlier test's code binds at first dispatch."""
+    monkeypatch.setattr(cpu_mod, "_SB_JIT_COMPILED", {})
+
+
+def test_twin_pcs_share_one_promotion(fresh_jit_cache):
+    """Two pcs holding the same words pool their heat; the key is
+    promoted once, at the pc dispatching when the heat crosses the
+    threshold, and the other pc swaps to the same JIT function at its
+    own next dispatch."""
+    image = assemble_and_link(TWIN_SRC, "twins")
+    twins = (image.symbols["twin_a"], image.symbols["twin_b"])
+    machine = Machine(image, MachineConfig(jit="hot", jit_threshold=4))
+    promotions: list[tuple[int, int]] = []
+
+    def hook(kind, pc, n):
+        if kind == "jit_promote":
+            promotions.append((pc, n))
+
+    machine.cpu.trace_hook = hook
+    got = (machine.run(), machine.cpu.icount, machine.cpu.cycles,
+           machine.output_text)
+    ref = Machine(image, MachineConfig(superblocks=False))
+    assert got == (ref.run(), ref.cpu.icount, ref.cpu.cycles,
+                   ref.output_text)
+
+    # heat 1, 2, 3 alternate a/b/a; the 4th execution is twin_b's
+    assert [p for p in promotions if p[0] in twins] == [(twins[1], 4)]
+    infos = [machine.cpu.superblock_info(pc) for pc in twins]
+    assert [[i["tier"] for i in info] for info in infos] == \
+        [["jit"], ["jit"]]
+    assert infos[0][0]["words"] == infos[1][0]["words"]
+    js = machine.cpu.jit_stats
+    assert js.jit_promotions == js.jit_blocks == len(promotions)
+
+
+def test_second_machine_binds_compiled_code_at_first_dispatch(
+        fresh_jit_cache):
+    """Content compiled in this process binds at first dispatch on a
+    new CPU: no codegen, no heat counting, no promotions."""
+    image = build_workload("sensor", 0.02)
+    first = Machine(image, MachineConfig(jit="hot"))
+    first.run()
+    assert first.cpu.jit_stats.jit_codegen > 0
+    second = Machine(image, MachineConfig(jit="hot"))
+    second.run()
+    js = second.cpu.jit_stats
+    assert js.jit_mem_hits > 0
+    assert js.jit_codegen == 0
+    assert js.jit_promotions == 0
+    assert js.jit_blocks == first.cpu.jit_stats.jit_blocks
+    assert (second.cpu.icount, second.cpu.cycles, second.output) == \
+        (first.cpu.icount, first.cpu.cycles, first.output)
+
+
+_ONE_COMPILER_SNIPPET = """
+import builtins, json, sys
+from repro.softcache import SoftCacheConfig, SoftCacheSystem
+from repro.workloads import build_workload
+
+system = SoftCacheSystem(build_workload("sensor", 0.02),
+                         SoftCacheConfig(tcache_size=768))
+calls = {"compile": [], "exec": []}
+real = {"compile": builtins.compile, "exec": builtins.exec}
+
+def recording(name):
+    def call(*args, **kwargs):
+        calls[name].append(sys._getframe(1).f_globals.get("__name__"))
+        return real[name](*args, **kwargs)
+    return call
+
+builtins.compile, builtins.exec = recording("compile"), recording("exec")
+try:
+    exit_code = system.run().exit_code
+finally:
+    builtins.compile, builtins.exec = real["compile"], real["exec"]
+js = system.machine.cpu.jit_stats
+print(json.dumps({"calls": calls, "exit": exit_code,
+                  "codegen": js.jit_codegen,
+                  "promotions": js.jit_promotions}))
+"""
+
+
+def test_jit_is_the_only_compiler(tmp_path):
+    """A cold thrashing run compiles only through the template JIT,
+    at most once per codegen, and ``exec``s only JIT binds of
+    promoted content — cold blocks never reach ``compile()``."""
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, REPRO_TRACE_CACHE=str(tmp_path),
+               PYTHONPATH=str(src_dir))
+    proc = subprocess.run([sys.executable, "-c", _ONE_COMPILER_SNIPPET],
+                          env=env, capture_output=True, text=True,
+                          check=True)
+    got = json.loads(proc.stdout)
+    assert got["exit"] == 0
+    assert got["codegen"] > 0
+    compiles, execs = got["calls"]["compile"], got["calls"]["exec"]
+    assert set(compiles) == {"repro.sim.jit"}
+    assert len(compiles) <= got["codegen"]
+    assert set(execs) == {"repro.sim.cpu"}
+    assert len(execs) == got["promotions"]
+
+
+# -- JIT settings are validated where they are given ------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("jit", "bogus"), ("jit_threshold", 0), ("jit_threshold", -3),
+    ("jit_threshold", 2.5)])
+def test_invalid_jit_settings_rejected_at_construction(field, value):
+    for build in (MachineConfig, SoftCacheConfig,
+                  lambda **kw: CPU(Memory(), **kw)):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            build(**{field: value})
+
+
+def test_admin_set_validates_jit_settings():
+    system = SoftCacheSystem(build_workload("sensor", 0.02),
+                             SoftCacheConfig(tcache_size=4096))
+    cc, cpu = system.cc, system.machine.cpu
+    with pytest.raises(ValueError, match="^jit must be"):
+        cc.admin_set(jit="bogus")
+    with pytest.raises(ValueError, match="^jit_threshold must be"):
+        cc.admin_set(jit_threshold=0)
+    assert (cpu.jit, cpu.jit_threshold) == ("hot", 16)
+    assert cc.admin_set(jit="off", jit_threshold=3) == {
+        "verb": "set", "jit": "off", "jit_threshold": 3}
+    assert (cpu.jit, cpu.jit_threshold) == ("off", 3)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_cli_rejects_bad_jit_threshold(capsys, value):
+    from repro.cli import main
+    for argv in (["run", "sensor", "--jit-threshold", value],
+                 ["admin", "set", "--jit-threshold", value]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--jit-threshold" in capsys.readouterr().err
 
 
 # -- persistent artifacts ---------------------------------------------
@@ -427,6 +606,26 @@ def test_dump_superblock_report():
     assert "def _sb(" in report
     miss = dump_superblock(machine.cpu, 0x0A00_0000)
     assert "no live superblock" in miss
+
+
+def test_dump_and_census_report_tier0():
+    """A cold block reports tier0 with no source: the dump shows only
+    its guest code, and the census counts it under ``tier0``."""
+    from repro.softcache.debug import dump_superblock
+    machine = Machine(_IMAGE, MachineConfig(superblocks=True, jit="off"))
+    with pytest.raises(CycleLimitExceeded):
+        machine.cpu.run(max_instructions=WARM)
+    loop = _IMAGE.symbols["loop"]
+    assert {i["tier"] for i in machine.cpu.superblock_info(loop + 4)} \
+        == {"tier0"}
+    report = dump_superblock(machine.cpu, loop + 4)
+    assert "tier=tier0" in report
+    assert "guest code:" in report
+    assert "generated source:" not in report
+    census = machine.cpu.superblock_census()
+    assert census["tiers"]["jit"] == 0
+    assert census["tiers"]["tier0"] >= 2
+    assert census["blocks"] == sum(census["tiers"].values())
 
 
 def test_cli_dump_superblock(capsys):

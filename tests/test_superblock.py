@@ -3,7 +3,9 @@
 The fused interpreter must be architecturally invisible: identical
 outputs, registers, instruction and cycle counts to per-instruction
 dispatch — including under dynamic rewriting, where patching any word
-of a fused block must invalidate every superblock overlapping it.
+of a fused block must invalidate every superblock overlapping it, and
+under faults, where a fused block must report the faulting word's pc
+and the counts of exactly the instructions that ran.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.sim import (
     FUSE_LIMIT,
     Machine,
     MachineConfig,
+    MemoryFault,
 )
 from repro.softcache import SoftCacheConfig, SoftCacheSystem
 from repro.workloads import build_workload
@@ -235,3 +238,73 @@ main:
                                            imm=0x0BEE)))
         machine.run()
         assert machine.output_text == "0bee0000"
+
+
+# -- tier 0: threaded per-instruction closures --------------------------
+
+TIER0 = MachineConfig(superblocks=True, jit="off")
+
+
+def test_tier0_fault_reports_faulting_word():
+    """A load faulting at the third word of a tier-0 block leaves the
+    pc on that word and the counts of exactly the three instructions
+    that ran, as per-instruction dispatch does."""
+    source = """
+    .global main
+main:
+    li   t0, 5
+    addi t1, t0, 2
+    lw   t2, 0(zero)
+    addi t3, t1, 1
+    ret
+"""
+    image = assemble_and_link(source, "fault")
+    main = image.symbols["main"]
+    results = []
+    for config in (TIER0, MachineConfig(superblocks=False)):
+        machine = Machine(image, config)
+        with pytest.raises(MemoryFault):
+            machine.run()
+        results.append((machine.cpu.pc, machine.cpu.icount,
+                        machine.cpu.cycles, list(machine.cpu.regs)))
+        if config is TIER0:
+            infos = machine.cpu.superblock_info(main + 8)
+            assert [(i["start"], i["tier"]) for i in infos] == \
+                [(main, "tier0")]
+            assert infos[0]["source"] is None
+    tier0, per_insn = results
+    assert tier0 == per_insn
+    assert tier0[0] == main + 8
+
+
+def test_store_inside_tier0_block_rewrites_later_word():
+    """A store that rewrites a later word of its own tier-0 block
+    takes effect in that same pass (the code-generation guard)."""
+    patched = encode(Insn(Op.ADDI, rd=11, rs1=11, imm=40))  # t3 += 40
+    source = f"""
+    .global main
+main:
+    la   t1, patchme
+    li   t2, {patched}
+    sw   t2, 0(t1)
+    addi t3, zero, 1
+patchme:
+    addi t3, t3, 2
+    mv   a0, t3
+    syscall putint
+    li   a0, 0
+    ret
+"""
+    image = assemble_and_link(source, "smc")
+    results = []
+    for config in (TIER0, MachineConfig(superblocks=False)):
+        machine = Machine(image, config)
+        assert machine.run() == 0
+        results.append((machine.cpu.icount, machine.cpu.cycles,
+                        machine.output_text))
+        if config is TIER0:
+            stats = machine.cpu.sb_stats
+            assert stats.fused_blocks >= 1
+            assert stats.invalidated_blocks >= 1
+    assert results[0] == results[1]
+    assert results[0][2] == "41"
