@@ -19,14 +19,18 @@ A fused block runs at one of two tiers:
   ``exec``, so cold code costs only its decode;
 * **JIT** — the template JIT (:mod:`repro.sim.jit`), the only
   superblock compiler: guest registers as Python locals, constants
-  folded, batched cycle accounting.  Under ``jit="hot"`` (the default)
-  a block's content is compiled once it has executed ``jit_threshold``
-  times on this CPU; content that already has compiled code in this
-  process binds it at first dispatch.  ``jit="all"`` compiles every
-  fused block at first dispatch and ``jit="off"`` keeps tier 0 only.
-  Compiled artifacts persist in the trace-cache directory
-  (:mod:`repro.sim.jitcache`) keyed by raw words + codegen version, so
-  a warm process binds JIT blocks without running codegen.
+  folded, batched cycle accounting.  Code is compiled per block
+  *shape* — the words with the terminator's target field cleared — and
+  bound per content key with that key's exit target, so the copies of
+  a block that the SoftCache re-patches to other targets share one
+  compile.  Under ``jit="hot"`` (the default) a block's content is
+  compiled once it has executed ``jit_threshold`` times on this CPU;
+  content whose shape already has compiled code in this process binds
+  it at first dispatch.  ``jit="all"`` compiles every fused block at
+  first dispatch and ``jit="off"`` keeps tier 0 only.  Compiled
+  artifacts persist in the trace-cache directory
+  (:mod:`repro.sim.jitcache`) keyed by shape + codegen version, so a
+  warm process binds JIT blocks without running codegen.
 
 All tiers are cycle-identical: tiering only changes host speed, never
 simulated counters.
@@ -60,7 +64,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable
 
-from ..isa import Op, Trap, decode, to_signed32
+from ..isa import Fmt, Op, Trap, to_signed32
 from ..isa.registers import RA
 from .costs import DEFAULT_COSTS, CostModel
 from .errors import (
@@ -72,12 +76,15 @@ from .errors import (
 )
 from .jit import (
     JitStats,
+    _DECODE_MEMO,
     _SB_STORES,
     _SB_STRAIGHT_OPS,
     _SB_TERM_OPS,
+    _decode_word,
     _sdiv,
     _srem,
     jit_codegen,
+    split_target,
     validate_jit,
 )
 from . import jitcache
@@ -93,12 +100,6 @@ class HaltExecution(Exception):
 
 TrapHook = Callable[["CPU", int, int, int], int]
 SysHook = Callable[["CPU", int, int], int]
-
-#: Word -> decoded Insn.  Insn is frozen, decoding is pure, and real
-#: programs use a few thousand distinct words, so one process-wide memo
-#: makes repeated decode (tcache retranslation after eviction) a dict
-#: hit.  Words that fail to decode are not memoized.
-_DECODE_MEMO: dict[int, object] = {}
 
 #: Word -> fusion class (0 = straight-line, 1 = terminator, 2 = not
 #: fusable / undecodable).  The block scanner consults this instead of
@@ -121,14 +122,6 @@ _CHUNK = 16384
 _SAFE_MARGIN = _CHUNK * FUSE_LIMIT
 
 
-def _decode_word(word: int):
-    """Decode *word* once per process (raises as :func:`decode` does)."""
-    ins = _DECODE_MEMO.get(word)
-    if ins is None:
-        ins = _DECODE_MEMO[word] = decode(word)
-    return ins
-
-
 def _classify_word(word: int) -> int:
     """Decode *word* once and memoize its fusion class (and the Insn)."""
     try:
@@ -139,6 +132,16 @@ def _classify_word(word: int) -> int:
     cls = 0 if op in _SB_STRAIGHT_OPS else 1 if op in _SB_TERM_OPS else 2
     _WORD_CLASS[word] = cls
     return cls
+
+
+def _exit_target(start: int, key: tuple[int, ...]) -> int | None:
+    """Absolute exit address bound as ``T`` for the block *key* at
+    *start*: the taken target of a conditional branch, the target of
+    ``J``/``JAL``, None for other terminators or none."""
+    target = split_target(key)[1]
+    if target is not None and _decode_word(key[-1]).fmt is Fmt.B:
+        return start + target
+    return target
 
 
 @dataclass
@@ -406,7 +409,7 @@ class CPU:
         The block binds this CPU's JIT function for its content, else
         its tier-0 block; new content binds compiled code at once under
         ``jit="all"``, or under ``jit="hot"`` when this process already
-        compiled it.
+        compiled its shape (:func:`~repro.sim.jit.split_target`).
         """
         region = self.mem.region_at(pc)  # raises MemoryFault if unmapped
         if pc & 3 or not region.executable:
@@ -455,7 +458,7 @@ class CPU:
             fn = self._sb_fn_cache.get(key)
         if fn is None:
             if mode == "all" or (mode == "hot" and (
-                    self._sb_cost_tag, self.image_tag, key)
+                    self._sb_cost_tag, self.image_tag, split_target(key)[0])
                     in _SB_JIT_COMPILED):
                 fn = self._jit_for_key(key, pc)
             else:
@@ -538,34 +541,37 @@ class CPU:
     def _jit_for_key(self, key: tuple[int, ...], pc: int
                      ) -> Callable[[int], int]:
         """Bind the JIT-tier function for a content key: per-CPU cache,
-        then the in-process compiled cache, then the persistent
-        artifact store, then (cold) codegen + store.  The only path
-        that runs ``compile()`` or ``exec`` for a fused block."""
+        else the code compiled for the key's shape — from the
+        in-process compiled cache, then the persistent artifact store,
+        then (cold) codegen + store — bound with the key's own exit
+        target.  The only path that runs ``compile()`` or ``exec`` for
+        a fused block."""
         jfn = self._sb_jit_fns.get(key)
         if jfn is not None:
             return jfn
         js = self.jit_stats
-        cache_key = (self._sb_cost_tag, self.image_tag, key)
+        shape, target = split_target(key)
+        cache_key = (self._sb_cost_tag, self.image_tag, shape)
         cached = _SB_JIT_COMPILED.get(cache_key)
         kind = None
         if cached is not None:
             js.jit_mem_hits += 1
         else:
-            digest = jitcache.artifact_key(self._sb_cost_sig, key,
+            digest = jitcache.artifact_key(self._sb_cost_sig, shape,
                                            self.image_tag)
             cached = jitcache.load(digest)
             if cached is not None:
                 js.jit_disk_hits += 1
                 kind = "jit_load"
             else:
-                insns, term = self._insns_for_key(key)
+                insns, term = self._insns_for_key(shape)
                 cached = jit_codegen(self.costs.op_cycles, insns, term)
                 js.jit_codegen += 1
                 kind = "jit_compile"
                 if jitcache.store(digest, *cached):
                     js.jit_disk_stores += 1
             _SB_JIT_COMPILED[cache_key] = cached
-        jfn = _bind_superblock(self, cached[0], cached[1])
+        jfn = _bind_superblock(self, cached[0], cached[1], target)
         self._sb_jit_fns[key] = jfn
         js.jit_blocks += 1
         js.jit_instructions += len(key)
@@ -587,8 +593,9 @@ class CPU:
         """Describe every live block whose span covers *pc* (for
         ``repro debug --dump-superblock``): start/end, tier
         ("jit"/"tier0"/"single"), instruction count, hotness count
-        (None when untracked, e.g. jit="all") and, for JIT blocks, the
-        generated source (None otherwise: tier 0 generates none)."""
+        (None when untracked, e.g. jit="all"), the exit ``target``
+        (see :func:`_exit_target`) and, for JIT blocks, the generated
+        source (None otherwise: tier 0 generates none)."""
         span_get = self._block_span.get
         starts = sorted(
             s for s in self._block_cover.get(pc >> _COVER_SHIFT, ())
@@ -601,16 +608,18 @@ class CPU:
             if key is None:
                 out.append({"start": start, "end": end, "tier": tier,
                             "instructions": (end - start) // 4,
-                            "hits": None, "source": None, "words": None})
+                            "hits": None, "target": None, "source": None,
+                            "words": None})
                 continue
             cached = (_SB_JIT_COMPILED.get(
-                (self._sb_cost_tag, self.image_tag, key))
+                (self._sb_cost_tag, self.image_tag, split_target(key)[0]))
                 if tier == "jit" else None)
             cell = self._sb_counts.get(key)
             out.append({
                 "start": start, "end": end, "tier": tier,
                 "instructions": len(key),
                 "hits": cell[0] if cell is not None else None,
+                "target": _exit_target(start, key),
                 "source": cached[2] if cached is not None else None,
                 "words": list(key),
             })
@@ -628,7 +637,8 @@ class CPU:
         never promotes, so neither keeps counts).
         """
         tiers = {"jit": 0, "tier0": 0, "single": 0}
-        entries: list[tuple[int, int, str, int, int | None]] = []
+        entries: list[tuple[int, int, str, int, int | None,
+                            tuple[int, ...]]] = []
         key_get = self._block_key.get
         span_get = self._block_span.get
         count_get = self._sb_counts.get
@@ -640,7 +650,7 @@ class CPU:
                 continue
             cell = count_get(key)
             entries.append((start, span_get(start, start + 4), tier,
-                            len(key), cell[0] if cell else None))
+                            len(key), cell[0] if cell else None, key))
         entries.sort(key=lambda e: -1 if e[4] is None else e[4],
                      reverse=True)
         return {
@@ -652,8 +662,8 @@ class CPU:
             "jit_promotions": self.jit_stats.jit_promotions,
             "hottest": [
                 {"start": s, "end": e, "tier": t, "instructions": n,
-                 "hits": h}
-                for s, e, t, n, h in entries[:top]],
+                 "hits": h, "target": _exit_target(s, k)}
+                for s, e, t, n, h, k in entries[:top]],
         }
 
     # -- execution ---------------------------------------------------------
@@ -1103,26 +1113,29 @@ def _f_halt(cpu: CPU, ins):
     return ex
 
 
-#: (cost tag, image tag, word tuple) -> the ``(code, fixups, src)``
-#: triple produced by :func:`jit_codegen` (or loaded from the persistent
-#: store in :mod:`repro.sim.jitcache`).  Lets a fresh CPU (new benchmark
-#: round, new client system) bind compiled code for content this
-#: process has seen under the same cost model and image without
-#: codegen; only the per-CPU ``exec`` binding runs.
+#: (cost tag, image tag, shape) -> the ``(code, fixups, src)`` triple
+#: produced by :func:`jit_codegen` (or loaded from the persistent store
+#: in :mod:`repro.sim.jitcache`).  Keyed by shape (:func:`split_target`),
+#: so every exit target of a block — and a fresh CPU (new benchmark
+#: round, new client system) under the same cost model and image —
+#: binds one compiled code object without codegen; only the per-block
+#: ``exec`` binding runs.
 _SB_JIT_COMPILED: dict[tuple, tuple[object, dict, str]] = {}
 
 #: Cost-table signature -> small interned tag (see CPU._sb_cost_tag).
 _COST_TAGS: dict[tuple, int] = {}
 
 
-def _bind_superblock(cpu: CPU, code, fixups):
+def _bind_superblock(cpu: CPU, code, fixups, target):
     """``exec`` a JIT-generated superblock code object against this
-    CPU's registers/stats/memory and return the bound function.
+    CPU's registers/stats/memory and the block's exit *target* (its
+    ``T``; None when the shape has no bound target) and return the
+    bound function.
 
     The namespace dict is built once per CPU and reused for every
     bind: generated functions capture their bindings as default
-    arguments at ``exec`` time, so mutating ``_F`` between binds
-    cannot affect already-bound blocks."""
+    arguments at ``exec`` time, so mutating ``_F`` and ``_T`` between
+    binds cannot affect already-bound blocks."""
     ns = cpu._sb_exec_ns
     if ns is None:
         mem = cpu.mem
@@ -1155,5 +1168,6 @@ def _bind_superblock(cpu: CPU, code, fixups):
         }
     else:
         ns["_F"] = fixups
+    ns["_T"] = target
     exec(code, ns)
     return ns["_sb"]

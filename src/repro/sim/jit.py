@@ -27,7 +27,13 @@ the traceback line back to the faulting instruction, commits the
 prefix counts, records the precise fault pc and spills the registers
 that were architecturally written before the fault.
 
-Artifacts are pure functions of (cost table, raw instruction words):
+Artifacts are pure functions of (cost table, block **shape**): the
+shape is the raw instruction words with the terminator's target field
+cleared (:func:`split_target`), so every copy of a block that the
+SoftCache backpatched or unlinked to a different target shares one
+compiled artifact.  The target — the taken offset of a conditional
+branch, the absolute address of ``J``/``JAL`` — is the generated
+function's ``T`` default argument, bound per block at ``exec`` time.
 :data:`JIT_CODEGEN_VERSION` participates in every cache key, in-process
 and on disk (:mod:`repro.sim.jitcache`), so changing the template here
 can never resurrect stale generated code.
@@ -37,7 +43,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..isa import Op, to_signed32
+from ..isa import (
+    Fmt,
+    Op,
+    branch_target,
+    decode,
+    jump_target,
+    patch_branch_disp,
+    patch_jump_target,
+    to_signed32,
+)
 from ..isa.registers import RA
 
 MASK32 = 0xFFFFFFFF
@@ -51,7 +66,10 @@ _S = "2147483648"       # sign-flip literal
 #: v2: memory ops inline a bounds-checked fast path against one bound
 #: data region (stack, typically) and only fall back to the accessor
 #: call — and its self-modification guard — for addresses outside it.
-JIT_CODEGEN_VERSION = 2
+#: v3: artifacts are keyed by shape; a branch, ``J`` or ``JAL`` exit
+#: reads its target from the bound ``T`` argument instead of a literal
+#: (v2 artifacts bake the target in and must never bind).
+JIT_CODEGEN_VERSION = 3
 
 #: Valid values of the ``jit`` knob (MachineConfig / SoftCacheConfig).
 JIT_MODES = ("off", "hot", "all")
@@ -211,15 +229,57 @@ _CONST_ENV = {"sgn": to_signed32, "sdiv": _sdiv, "srem": _srem,
 #: Source text -> compiled code object (JIT template instances).
 _JIT_CODE_CACHE: dict[str, object] = {}
 
+#: Word -> decoded Insn.  Insn is frozen, decoding is pure, and real
+#: programs use a few thousand distinct words, so one process-wide memo
+#: makes repeated decode (tcache retranslation after eviction, the
+#: shape split of every re-patched block) a dict hit.  Words that fail
+#: to decode are not memoized.
+_DECODE_MEMO: dict[int, object] = {}
+
+
+def _decode_word(word: int):
+    """Decode *word* once per process (raises as :func:`decode` does)."""
+    ins = _DECODE_MEMO.get(word)
+    if ins is None:
+        ins = _DECODE_MEMO[word] = decode(word)
+    return ins
+
+
+def split_target(key: tuple[int, ...]) -> tuple[tuple[int, ...], int | None]:
+    """Split a fused block's content key into ``(shape, target)``.
+
+    The *shape* is *key* with the terminator's target field cleared —
+    the field the SoftCache rewrites when it backpatches or unlinks an
+    exit (:func:`~repro.isa.patch_branch_disp`,
+    :func:`~repro.isa.patch_jump_target`) — and keys every compiled
+    artifact.  The *target* is what :func:`jit_codegen` leaves to the
+    bind as ``T``: the taken offset from the block entry for a
+    conditional branch, the absolute address for ``J``/``JAL``, and
+    None for ``JR``/``JALR``/``RET`` or a block with no terminator
+    (whose shape is the key itself).
+    """
+    word = key[-1]
+    fmt = _decode_word(word).fmt
+    if fmt is Fmt.B:
+        off = 4 * (len(key) - 1)
+        return (key[:-1] + (patch_branch_disp(word, off, off + 4),),
+                branch_target(word, off))
+    if fmt is Fmt.J:
+        return key[:-1] + (patch_jump_target(word, 0),), jump_target(word)
+    return key, None
+
 
 def jit_codegen(costs, insns, term):
     """Generate ``(code object, fault fix-ups, source)`` for one
-    superblock in the register-as-locals template.
+    superblock shape in the register-as-locals template.
 
     *insns* is a list of ``(offset, Insn)`` with offsets relative to
     the block entry; *term* is ``(offset, Insn)`` for an optional fused
-    control-transfer terminator.  *costs* maps opcodes to cycle costs
-    (baked into the batched stats literals).
+    control-transfer terminator, whose target field is ignored: a
+    conditional branch exits to ``pc + T`` when taken and ``J``/``JAL``
+    to ``T``, with ``T`` bound per block (:func:`split_target`).
+    *costs* maps opcodes to cycle costs (baked into the batched stats
+    literals).
 
     The fix-up table maps a source line number (of a memory operation)
     to ``(offset, instructions, cycles, writebacks)`` where
@@ -412,17 +472,14 @@ def jit_codegen(costs, insns, term):
         body.append(f"st[0] += {tot_n}; st[1] += {tot_c}")
         body.extend(spill_lines())
         if top in _SB_BRANCH_COND:
-            taken = toff + 4 + (tins.imm << 2)
-            fall = toff + 4
             cond = _SB_BRANCH_COND[top](operand(tins.rs1),
                                         operand(tins.rs2))
-            body.append(f"return pc + {taken} if {cond} "
-                        f"else pc + {fall}")
+            body.append(f"return pc + T if {cond} else pc + {toff + 4}")
         elif top is Op.J:
-            body.append(f"return {tins.imm << 2}")
+            body.append("return T")
         elif top is Op.JAL:
             body.append(f"r[{RA}] = pc + {toff + 4}")
-            body.append(f"return {tins.imm << 2}")
+            body.append("return T")
         elif top is Op.JR:
             body.append(f"return {operand(tins.rs1)}")
         elif top is Op.JALR:
@@ -442,6 +499,8 @@ def jit_codegen(costs, insns, term):
         body.append(f"return pc + {insns[-1][0] + 4}")
 
     params = ["pc", "r=_r", "st=_st"]
+    if term is not None and term[1].fmt in (Fmt.B, Fmt.J):
+        params.append("T=_T")
     if has_store:
         params.append("cw=_cw")
     if has_mem:

@@ -4,9 +4,12 @@ Lives alongside the native-trace cache in ``.cache/traces/`` (same
 directory resolution: an explicit override, else ``$REPRO_TRACE_CACHE``,
 else ``.cache/traces``).  Each artifact is ``marshal``-serialized
 ``(code object, fault fix-ups, source text)`` keyed by a blake2b digest
-of ``(codegen version, cost signature, raw instruction words)`` — the
-same content identity the in-process superblock caches use, so a warm
-process can bind a compiled block without ever running codegen.
+of ``(codegen version, cost signature, block shape)`` — the shape is
+the raw instruction words with the terminator's target field cleared
+(:func:`repro.sim.jit.split_target`), the same identity the in-process
+compiled cache uses.  The exit target is bound at bind time, never
+stored, so one artifact serves every re-patched copy of a block and a
+warm process can bind a compiled block without ever running codegen.
 
 File names are fully self-describing:
 
@@ -36,6 +39,7 @@ import marshal
 import os
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 from .jit import JIT_CODEGEN_VERSION
@@ -72,7 +76,8 @@ def set_artifact_dir(path) -> None:
 
 
 def artifact_key(cost_sig, words, image_tag: str = "") -> str:
-    """Content digest for one superblock's compiled artifact.
+    """Content digest for one superblock shape's compiled artifact
+    (*words* is the shape, :func:`repro.sim.jit.split_target`).
 
     *image_tag* is the content tag of the image version the words came
     from (live code update): a republished image gets a disjoint
@@ -93,13 +98,15 @@ def artifact_path(digest: str) -> Path:
 
 
 def load(digest: str):
-    """Return ``(code, fixups, src)`` or ``None`` (miss / undecodable)."""
+    """Return ``(code, fixups, src)`` or ``None`` (miss / undecodable,
+    or a well-formed tuple of the wrong types)."""
     try:
         blob = artifact_path(digest).read_bytes()
         code, fixups, src = marshal.loads(blob)
     except Exception:
         return None
-    if not isinstance(src, str) or not isinstance(fixups, dict):
+    if (not isinstance(code, types.CodeType)
+            or not isinstance(src, str) or not isinstance(fixups, dict)):
         return None
     return code, fixups, src
 

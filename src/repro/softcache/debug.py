@@ -357,9 +357,9 @@ def dump_superblock(cpu, pc: int) -> str:
     """Human-readable report on the superblock(s) covering *pc*: span,
     tier (jit / tier0 / single), execution count where tracked, the
     guest disassembly and — for JIT blocks — the generated Python
-    source actually dispatched (``repro debug --dump-superblock``).
-    Tier 0 generates no source, so its entries show only the guest
-    code."""
+    source actually dispatched (``repro debug --dump-superblock``),
+    headed by the exit address its ``T`` argument is bound to.  Tier 0
+    generates no source, so its entries show only the guest code."""
     infos = cpu.superblock_info(pc)
     if not infos:
         return (f"no live superblock covers pc {pc:#x} "
@@ -382,7 +382,10 @@ def dump_superblock(cpu, pc: int) -> str:
                     text = f".word {word:#010x}"
                 lines.append(f"    {addr:#010x}: {text}")
         if info.get("source"):
-            lines.append("  generated source:")
+            target = info.get("target")
+            lines.append("  generated source:" + (
+                f" T bound to exit {target:#x}" if target is not None
+                else ""))
             lines.extend("    " + ln
                          for ln in info["source"].rstrip().splitlines())
         lines.append("")

@@ -7,22 +7,27 @@ architecturally invisible — identical registers, output, instruction
 and cycle counts to per-instruction dispatch — including under dynamic
 rewriting: a patch overlapping a JIT'd block must drop it exactly like
 a tier-0 block.  It is the only superblock compiler, and it runs only
-for content that crossed the hotness threshold.  Compiled artifacts
-persist in the trace cache, so a warm process binds blocks with zero
-codegen.
+for content that crossed the hotness threshold, once per block shape:
+copies of a block whose exit targets differ share the compiled code.
+Compiled artifacts persist in the trace cache, so a warm process binds
+blocks with zero codegen.
 """
 
+import contextlib
 import json
+import marshal
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble_and_link
-from repro.isa import Insn, Op, encode
+from repro.isa import Insn, Op, encode, patch_branch_disp
+from repro.isa.encoding import TARGET26_MAX
 from repro.sim import (
     CPU,
     CycleLimitExceeded,
@@ -30,6 +35,7 @@ from repro.sim import (
     Machine,
     MachineConfig,
     Memory,
+    MemoryFault,
 )
 from repro.sim import cpu as cpu_mod
 from repro.sim import jitcache
@@ -220,6 +226,9 @@ _ALU_R = [Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.NOR, Op.SLT,
           Op.SLTU, Op.SLL, Op.SRL, Op.SRA, Op.MUL, Op.DIV, Op.REM]
 _ALU_I = [Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLTI, Op.SLTIU,
           Op.SLLI, Op.SRLI, Op.SRAI, Op.LUI]
+#: register-immediate ops whose immediate encodes unsigned
+_UNSIGNED_I = (Op.ANDI, Op.ORI, Op.XORI, Op.SLTIU, Op.SLLI, Op.SRLI,
+               Op.SRAI, Op.LUI)
 
 _HARNESS = """
     .global main
@@ -249,9 +258,7 @@ def programs(draw):
                 rs2=draw(st.sampled_from(_REGS))))
         elif kind == 3:
             op = draw(st.sampled_from(_ALU_I))
-            imm = (draw(st.integers(0, 0xFFFF))
-                   if op in (Op.ANDI, Op.ORI, Op.XORI, Op.SLTIU,
-                             Op.SLLI, Op.SRLI, Op.SRAI, Op.LUI)
+            imm = (draw(st.integers(0, 0xFFFF)) if op in _UNSIGNED_I
                    else draw(st.integers(-32768, 32767)))
             instructions.append(Insn(
                 op, rd=draw(st.sampled_from(_REGS)),
@@ -297,6 +304,150 @@ def test_jit_differential_random_programs(program):
     ref = _run_random(instructions, seeds, _MODES["per_insn"])
     assert _run_random(instructions, seeds, _MODES["tier0"]) == ref
     assert _run_random(instructions, seeds, _MODES["jit_all"]) == ref
+
+
+# -- shape keying: copies that differ only in their exit target -------
+
+_TARGET_TERMS = [Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU,
+                 Op.J, Op.JAL]
+_UNMAPPED = 0x0A00_0000
+
+
+@contextlib.contextmanager
+def _fresh_jit_caches():
+    """An empty in-process compiled cache and artifact store for the
+    duration of one hypothesis example; yields the store directory."""
+    saved = cpu_mod._SB_JIT_COMPILED
+    cpu_mod._SB_JIT_COMPILED = {}
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            jitcache.set_artifact_dir(tmp)
+            try:
+                yield Path(tmp)
+            finally:
+                jitcache.set_artifact_dir(None)
+    finally:
+        cpu_mod._SB_JIT_COMPILED = saved
+
+
+@st.composite
+def target_variants(draw):
+    """A random straight-line body of ALU ops and loads — sometimes
+    with a load from unmapped memory mid-body — ending in a branch,
+    ``J`` or ``JAL``, plus two distinct values of that terminator's
+    target field."""
+    seeds = {reg: draw(st.integers(0, MASK32) | st.sampled_from(
+        [0, 1, MASK32])) for reg in _REGS}
+    regs = st.sampled_from(_REGS)
+    body = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.integers(0, 3))
+        if kind <= 1:
+            body.append(Insn(draw(st.sampled_from(_ALU_R)),
+                             rd=draw(regs), rs1=draw(regs),
+                             rs2=draw(regs)))
+        elif kind == 2:
+            op = draw(st.sampled_from(_ALU_I))
+            imm = (draw(st.integers(0, 0xFFFF)) if op in _UNSIGNED_I
+                   else draw(st.integers(-32768, 32767)))
+            body.append(Insn(op, rd=draw(regs), rs1=draw(regs), imm=imm))
+        else:
+            data = _SCRATCH + 0x800
+            body += [Insn(Op.LUI, rd=8, imm=data >> 16),
+                     Insn(Op.ORI, rd=8, rs1=8, imm=data & 0xFFFF),
+                     Insn(draw(st.sampled_from([Op.LW, Op.LH, Op.LBU])),
+                          rd=draw(regs), rs1=8,
+                          imm=4 * draw(st.integers(0, 31)))]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(body)))
+        body[at:at] = [Insn(Op.LUI, rd=8, imm=_UNMAPPED >> 16),
+                       Insn(Op.LW, rd=draw(regs), rs1=8)]
+    op = draw(st.sampled_from(_TARGET_TERMS))
+    if op in (Op.J, Op.JAL):
+        field = st.integers(0, TARGET26_MAX)
+        terms = [Insn(op, imm=t) for t in draw(st.lists(
+            field, min_size=2, max_size=2, unique=True))]
+    else:
+        rs1, rs2 = draw(regs), draw(regs)
+        terms = [Insn(op, rs1=rs1, rs2=rs2, imm=t) for t in draw(st.lists(
+            st.integers(-32768, 32767), min_size=2, max_size=2,
+            unique=True))]
+    return body, terms, seeds
+
+
+def _run_placed(words, site, seeds, config):
+    """Run the block *words* placed at *site* for exactly its length;
+    returns how it ended, the pc, registers and (instructions, cycles),
+    plus the machine."""
+    machine = Machine(assemble_and_link(_HARNESS), config)
+    machine.mem.write_bytes(site, b"".join(
+        w.to_bytes(4, "little") for w in words))
+    cpu = machine.cpu
+    for reg, value in seeds.items():
+        cpu.set_reg(reg, value)
+    cpu.pc = site
+    try:
+        cpu.run(max_instructions=len(words))
+    except (CycleLimitExceeded, MemoryFault) as exc:
+        ended = type(exc).__name__
+    return (ended, cpu.pc, list(cpu.regs), cpu.icount, cpu.cycles), machine
+
+
+@settings(max_examples=60, deadline=None)
+@given(target_variants())
+def test_target_variants_share_code_and_stay_exact(variant):
+    """Two placements of one body whose terminators differ only in
+    their target field compile once (one codegen, one artifact) and
+    each bound copy exits exactly as per-instruction execution."""
+    body, terms, seeds = variant
+    sites = (_SCRATCH, _SCRATCH + 0x400)
+    with _fresh_jit_caches() as store:
+        codegen = 0
+        for term, site in zip(terms, sites):
+            words = [encode(ins) for ins in body + [term]]
+            ref, _ = _run_placed(words, site, seeds, _MODES["per_insn"])
+            got, machine = _run_placed(words, site, seeds,
+                                       _MODES["jit_all"])
+            assert got == ref
+            assert machine.cpu.jit_stats.jit_blocks == 1
+            codegen += machine.cpu.jit_stats.jit_codegen
+        assert codegen == 1
+        assert len(list(store.glob(
+            f"{jitcache.ARTIFACT_PREFIX}*.sbc"))) == 1
+
+
+@pytest.mark.parametrize("jit", ["all", "hot"])
+def test_repatched_terminator_rebinds_without_codegen(jit):
+    """Retargeting a warm JIT block's exit branch the way the cache
+    controller backpatches it rebinds the block's compiled shape with
+    the new target — no codegen, no tier-0 detour under ``jit="hot"``
+    — and the run still matches per-instruction execution."""
+    config = MachineConfig(superblocks=True, jit=jit, jit_threshold=1)
+    loop = _IMAGE.symbols["loop"]
+    site = loop + 4 * (BODY_LEN - 1)
+    target = loop + 4
+
+    def warm_and_patch(machine):
+        with pytest.raises(CycleLimitExceeded):
+            machine.cpu.run(max_instructions=WARM)
+        word = machine.mem.read_word(site)
+        machine.mem.write_word(site, patch_branch_disp(word, site, target))
+
+    machine = Machine(_IMAGE, config)
+    warm_and_patch(machine)
+    js = machine.cpu.jit_stats
+    codegen, promotions, blocks = (js.jit_codegen, js.jit_promotions,
+                                   js.jit_blocks)
+    with pytest.raises(CycleLimitExceeded):
+        machine.cpu.run(max_instructions=WARM + BODY_LEN)
+    assert (js.jit_codegen, js.jit_promotions, js.jit_blocks) == \
+        (codegen, promotions, blocks + 1)
+    [info] = machine.cpu.superblock_info(loop)
+    assert (info["tier"], info["target"]) == ("jit", target)
+
+    ref = Machine(_IMAGE, MachineConfig(superblocks=False))
+    warm_and_patch(ref)
+    assert _finish(machine) == _finish(ref)
 
 
 # -- tier 0 -> JIT promotion ------------------------------------------
@@ -413,14 +564,17 @@ finally:
 js = system.machine.cpu.jit_stats
 print(json.dumps({"calls": calls, "exit": exit_code,
                   "codegen": js.jit_codegen,
-                  "promotions": js.jit_promotions}))
+                  "promotions": js.jit_promotions,
+                  "jit_blocks": js.jit_blocks}))
 """
 
 
 def test_jit_is_the_only_compiler(tmp_path):
     """A cold thrashing run compiles only through the template JIT,
-    at most once per codegen, and ``exec``s only JIT binds of
-    promoted content — cold blocks never reach ``compile()``."""
+    at most once per codegen and only for promoted content — cold
+    blocks never reach ``compile()`` — and every ``exec`` is the bind
+    of one JIT block (re-patched copies of a compiled shape bind at
+    first dispatch)."""
     src_dir = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, REPRO_TRACE_CACHE=str(tmp_path),
                PYTHONPATH=str(src_dir))
@@ -434,7 +588,8 @@ def test_jit_is_the_only_compiler(tmp_path):
     assert set(compiles) == {"repro.sim.jit"}
     assert len(compiles) <= got["codegen"]
     assert set(execs) == {"repro.sim.cpu"}
-    assert len(execs) == got["promotions"]
+    assert len(execs) == got["jit_blocks"]
+    assert got["codegen"] <= got["promotions"]
 
 
 # -- JIT settings are validated where they are given ------------------
@@ -506,6 +661,28 @@ def test_jitcache_corrupt_file_is_a_miss(artifact_dir):
     digest = jitcache.artifact_key((1,), (1, 2, 3))
     jitcache.artifact_path(digest).write_bytes(b"not marshal data")
     assert jitcache.load(digest) is None
+
+
+def test_jitcache_wrong_types_is_a_miss(artifact_dir, fresh_jit_cache):
+    """A well-formed artifact whose code item is not a code object is
+    a miss: the block recompiles and the store overwrites the file."""
+    config = MachineConfig(superblocks=True, jit="all")
+    want, first = _run_mode(_IMAGE, config)
+    artifacts = list(artifact_dir.glob(f"{jitcache.ARTIFACT_PREFIX}*.sbc"))
+    assert len(artifacts) == first.cpu.jit_stats.jit_codegen > 0
+    bogus = marshal.dumps((1, {}, "x"))
+    for path in artifacts:
+        path.write_bytes(bogus)
+        digest = path.name[len(jitcache.ARTIFACT_PREFIX):
+                           -len(jitcache.ARTIFACT_SUFFIX)]
+        assert jitcache.load(digest) is None
+    cpu_mod._SB_JIT_COMPILED.clear()
+    got, second = _run_mode(_IMAGE, config)
+    assert got == want
+    js = second.cpu.jit_stats
+    assert (js.jit_disk_hits, js.jit_codegen, js.jit_disk_stores) == \
+        (0, len(artifacts), len(artifacts))
+    assert all(path.read_bytes() != bogus for path in artifacts)
 
 
 def test_jitcache_key_depends_on_version_and_content():
@@ -602,8 +779,15 @@ def test_dump_superblock_report():
     report = dump_superblock(machine.cpu, loop + 4)
     assert "tier=jit" in report
     assert "guest code:" in report
-    assert "generated source:" in report
+    assert f"generated source: T bound to exit {loop:#x}" in report
     assert "def _sb(" in report
+    assert "return pc + T if" in report
+    # both blocks covering the loop body exit to ``loop``
+    assert [i["target"] for i in machine.cpu.superblock_info(loop + 4)] \
+        == [loop, loop]
+    targets = {e["start"]: e["target"]
+               for e in machine.cpu.superblock_census()["hottest"]}
+    assert targets[_IMAGE.symbols["main"]] == targets[loop] == loop
     miss = dump_superblock(machine.cpu, 0x0A00_0000)
     assert "no live superblock" in miss
 
