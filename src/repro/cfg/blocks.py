@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..isa import Insn, Op, decode, is_control_transfer
+from ..isa import BRANCH_OPS, Insn, Op, decode, is_control_transfer
 
 
 class Term(enum.Enum):
@@ -101,7 +101,7 @@ def scan_block(word_at, addr: int, text_end: int) -> Block:
     term_pc = pc
     ins = insns[-1]
     op = ins.op
-    if op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU):
+    if op in BRANCH_OPS:
         term, taken = Term.BRANCH, term_pc + 4 + (ins.imm << 2)
         fallthrough = term_pc + 4
     elif op is Op.J:

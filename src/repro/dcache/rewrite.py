@@ -23,13 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..asm.image import Image
-from ..isa import Insn, Op, Trap, decode, encode
+from ..isa import BRANCH_OPS, MEMORY_OPS, SPECS, Insn, Op, Trap, decode, encode
 from ..isa.registers import FP, SP
 from ..softcache.chunks import Chunk
-
-_LOADS = {Op.LW: (4, True), Op.LH: (2, True), Op.LHU: (2, False),
-          Op.LB: (1, True), Op.LBU: (1, False)}
-_STORES = {Op.SW: 4, Op.SH: 2, Op.SB: 1}
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,25 +127,20 @@ class DataRewriter:
                     local_ptr[ins.rd] = True
                     self.stats.pinned_specializations += 1
                 continue
-            if op in _LOADS or op in _STORES:
+            if op in MEMORY_OPS:
                 base = ins.rs1
                 if base in (SP, FP):
                     continue  # stack access: scache guarantees presence
                 if local_ptr.get(base):
                     continue  # specialized pinned access stays native
-                if op in _LOADS:
-                    width, signed = _LOADS[op]
-                    site = self._new_dc_site(
-                        is_store=False, width=width, signed=signed,
-                        rd=ins.rd, rs1=base, imm=ins.imm)
-                    words[i] = encode(Insn(Op.TRAP, rd=Trap.DC_LOAD,
-                                           imm=site.site_id))
-                else:
-                    site = self._new_dc_site(
-                        is_store=True, width=_STORES[op], signed=False,
-                        rd=ins.rd, rs1=base, imm=ins.imm)
-                    words[i] = encode(Insn(Op.TRAP, rd=Trap.DC_STORE,
-                                           imm=site.site_id))
+                spec = SPECS[op]
+                site = self._new_dc_site(
+                    is_store=spec.writes_mem, width=spec.mem_width,
+                    signed=spec.mem_signed, rd=ins.rd, rs1=base,
+                    imm=ins.imm)
+                words[i] = encode(Insn(
+                    Op.TRAP, rd=Trap.DC_STORE if spec.writes_mem
+                    else Trap.DC_LOAD, imm=site.site_id))
                 local_ptr.clear()
                 lui_value.clear()
                 continue
@@ -184,7 +175,7 @@ class DataRewriter:
 
 def _written_reg(ins: Insn) -> int | None:
     op = ins.op
-    if op in _STORES or op.name.startswith("B") or op in (
+    if SPECS[op].writes_mem or op in BRANCH_OPS or op in (
             Op.J, Op.JR, Op.RET, Op.TRAP, Op.SYSCALL, Op.HALT,
             Op.BREAK):
         return None

@@ -22,18 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..asm.image import Image
-from ..isa import Op
+from ..isa import BLOCK_TERMINATORS, BRANCH_OPS, Op
 from ..softcache.chunks import BasicBlockChunker, EBBChunker
 from ..softcache.records import TBlock
 from ..softcache.tcache import TCache, TCacheGeometry
 
-_TERMINATOR_OPS = frozenset(int(op) for op in (
-    Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU,
-    Op.J, Op.JAL, Op.JR, Op.JALR, Op.RET, Op.HALT))
-
-
-_BRANCH_OPS = frozenset(int(op) for op in (
-    Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU))
+_TERMINATOR_OPS = [int(op) for op in BLOCK_TERMINATORS]
+_BRANCH_OPS = [int(op) for op in BRANCH_OPS]
 
 
 def chunk_entry_sequence(image: Image, trace: np.ndarray,
@@ -54,14 +49,14 @@ def chunk_entry_sequence(image: Image, trace: np.ndarray,
     text = np.frombuffer(image.text, dtype="<u4")
     offsets = (trace.astype(np.int64) - image.text_base) >> 2
     opcodes = (text[offsets] >> 26).astype(np.int64)
-    is_term = np.isin(opcodes, list(_TERMINATOR_OPS))
+    is_term = np.isin(opcodes, _TERMINATOR_OPS)
     entry_mask = np.empty(trace.size, dtype=bool)
     entry_mask[0] = True
     entry_mask[1:] = is_term[:-1]
     if granularity == "ebb":
         prev_op = opcodes[:-1]
         fallthrough = trace[1:] == trace[:-1] + 4
-        inline = (np.isin(prev_op, list(_BRANCH_OPS)) & fallthrough) | \
+        inline = (np.isin(prev_op, _BRANCH_OPS) & fallthrough) | \
             (prev_op == int(Op.RET))
         entry_mask[1:] &= ~inline
     return trace[entry_mask]

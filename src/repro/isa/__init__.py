@@ -23,8 +23,10 @@ from .encoding import (
 from .disasm import disassemble_range, disassemble_word, format_insn
 from .instructions import (
     BLOCK_TERMINATORS,
+    BRANCH_OPS,
     Fmt,
     InsnSpec,
+    MEMORY_OPS,
     MNEMONICS,
     Op,
     SPECS,
@@ -59,8 +61,9 @@ from .registers import (
 
 __all__ = [
     "A0", "A1", "A2", "A3", "ARG_REGS", "AT", "BLOCK_TERMINATORS",
-    "CALLEE_SAVED", "CALLER_SAVED", "DecodeError", "EncodingError", "FP",
-    "Fmt", "GP", "Insn", "InsnSpec", "KT", "MNEMONICS", "NUM_REGS", "Op",
+    "BRANCH_OPS", "CALLEE_SAVED", "CALLER_SAVED", "DecodeError",
+    "EncodingError", "FP", "Fmt", "GP", "Insn", "InsnSpec", "KT",
+    "MEMORY_OPS", "MNEMONICS", "NUM_REGS", "Op",
     "RA", "REG_NAMES", "S0", "SP", "SPECS", "Sys", "T0", "Trap", "ZERO",
     "branch_target", "decode", "disassemble_range", "disassemble_word",
     "encode", "format_insn", "is_control_transfer", "is_reg_name",

@@ -8,7 +8,7 @@ tcache dump utilities, and tests.
 from __future__ import annotations
 
 from .encoding import Insn, decode
-from .instructions import Fmt, Op, Sys, Trap
+from .instructions import MEMORY_OPS, Fmt, Op, Sys, Trap
 from .registers import reg_name
 
 
@@ -31,7 +31,7 @@ def format_insn(insn: Insn, pc: int | None = None) -> str:
         return (f"{name} {reg_name(insn.rd)}, {reg_name(insn.rs1)}, "
                 f"{reg_name(insn.rs2)}")
     if fmt is Fmt.I:
-        if op in (Op.LW, Op.LH, Op.LHU, Op.LB, Op.LBU, Op.SW, Op.SH, Op.SB):
+        if op in MEMORY_OPS:
             return (f"{name} {reg_name(insn.rd)}, "
                     f"{insn.imm}({reg_name(insn.rs1)})")
         if op is Op.LUI:

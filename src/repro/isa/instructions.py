@@ -150,6 +150,10 @@ class InsnSpec:
     signed_imm: bool = True
     reads_mem: bool = False
     writes_mem: bool = False
+    #: bytes a load or store moves (0 for other ops)
+    mem_width: int = 0
+    #: a load sign-extends its value to 32 bits (LH, LB)
+    mem_signed: bool = False
     is_branch: bool = False  # conditional, B format
     is_jump: bool = False    # unconditional direct (J)
     is_call: bool = False    # jal / jalr
@@ -179,10 +183,13 @@ for _op in (Op.ANDI, Op.ORI, Op.XORI, Op.SLTIU, Op.SLLI, Op.SRLI,
             Op.SRAI, Op.LUI):
     _add(_op, Fmt.I, signed_imm=False)
 
-for _op in (Op.LW, Op.LH, Op.LHU, Op.LB, Op.LBU):
-    _add(_op, Fmt.I, signed_imm=True, reads_mem=True)
-for _op in (Op.SW, Op.SH, Op.SB):
-    _add(_op, Fmt.I, signed_imm=True, writes_mem=True)
+for _op, _width, _signed in ((Op.LW, 4, False), (Op.LH, 2, True),
+                             (Op.LHU, 2, False), (Op.LB, 1, True),
+                             (Op.LBU, 1, False)):
+    _add(_op, Fmt.I, signed_imm=True, reads_mem=True, mem_width=_width,
+         mem_signed=_signed)
+for _op, _width in ((Op.SW, 4), (Op.SH, 2), (Op.SB, 1)):
+    _add(_op, Fmt.I, signed_imm=True, writes_mem=True, mem_width=_width)
 
 for _op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU):
     _add(_op, Fmt.B, is_branch=True)
@@ -205,6 +212,13 @@ BLOCK_TERMINATORS = frozenset(
     op for op, s in SPECS.items()
     if s.is_branch or s.is_jump or s.is_call or s.is_return or s.is_indirect
 ) | {Op.HALT}
+
+#: Conditional branches (B format).
+BRANCH_OPS = frozenset(op for op, s in SPECS.items() if s.is_branch)
+
+#: Loads and stores.
+MEMORY_OPS = frozenset(
+    op for op, s in SPECS.items() if s.reads_mem or s.writes_mem)
 
 
 def is_control_transfer(op: Op) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..isa import Op
+from ..isa import SPECS, Op
 
 
 def _default_op_cycles() -> dict[Op, int]:
@@ -21,10 +21,9 @@ def _default_op_cycles() -> dict[Op, int]:
     cycles[Op.MUL] = 3
     cycles[Op.DIV] = 12
     cycles[Op.REM] = 12
-    for op in (Op.LW, Op.LH, Op.LHU, Op.LB, Op.LBU):
-        cycles[op] = 2
-    for op in (Op.SW, Op.SH, Op.SB):
-        cycles[op] = 1
+    for op, spec in SPECS.items():
+        if spec.reads_mem:
+            cycles[op] = 2  # loads; stores stay at 1
     # Taken-or-not branches and jumps: single cycle (simple in-order
     # embedded core, no speculation — like the SA-110).
     return cycles
@@ -43,7 +42,11 @@ class CostModel:
     #: CPU clock; 200 MHz matches the SA-110 on the Skiff boards.
     cpu_hz: float = 200e6
 
-    #: Cycles per executed instruction, by opcode.
+    #: Cycles per executed instruction, by opcode — except the system
+    #: ops, whose closures ignore this table: TRAP, SYSCALL and HALT
+    #: always charge 1 cycle, and BREAK, which stops the run, charges
+    #: nothing.  Runtime work behind a trap is charged on top
+    #: (``trap_overhead_cycles`` and the fields below).
     op_cycles: dict[Op, int] = field(default_factory=_default_op_cycles)
 
     #: CC entry/exit for any miss trap (register save/restore, dispatch).

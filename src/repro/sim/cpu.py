@@ -1,6 +1,10 @@
 """The repro RISC CPU: a closure-caching, superblock-threading interpreter.
 
 Each instruction word is decoded once into a specialized Python closure.
+The closure factory of every fusable opcode is generated from its row
+of the op table (:data:`repro.sim.jit.OPS`, the same rows the JIT
+template is generated from) and compiled once at import with the row's
+expression inlined; only TRAP/SYSCALL/BREAK/HALT are written by hand.
 Closures depend only on their word (branch targets and link addresses
 come from the runtime pc), so one per-CPU ``word -> closure`` memo
 serves every address the word appears at, and a per-address decode
@@ -54,8 +58,9 @@ two narrow interfaces:
   untranslated code.
 
 Cycle accounting: every closure bumps an (instruction, cycle) stats
-cell; runtime components charge additional cycles through
-:meth:`CPU.add_cycles`.
+cell by its opcode's cost (TRAP/SYSCALL/HALT charge 1, BREAK nothing;
+see :attr:`~repro.sim.costs.CostModel.op_cycles`); runtime components
+charge additional cycles through :meth:`CPU.add_cycles`.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable
 
-from ..isa import Fmt, Op, Trap, to_signed32
+from ..isa import Fmt, Op, Trap
 from ..isa.registers import RA
 from .costs import DEFAULT_COSTS, CostModel
 from .errors import (
@@ -75,14 +80,17 @@ from .errors import (
     SimError,
 )
 from .jit import (
+    OPS,
     JitStats,
+    OpSem,
     _DECODE_MEMO,
+    _HELPER_FNS,
     _SB_STORES,
     _SB_STRAIGHT_OPS,
     _SB_TERM_OPS,
+    _WIDTHS,
     _decode_word,
-    _sdiv,
-    _srem,
+    fill,
     jit_codegen,
     split_target,
     validate_jit,
@@ -91,7 +99,6 @@ from . import jitcache
 from .memory import Memory
 
 MASK32 = 0xFFFFFFFF
-_SIGN_FLIP = 0x80000000
 
 
 class HaltExecution(Exception):
@@ -783,13 +790,65 @@ class CPU:
 # ---------------------------------------------------------------------------
 # Closure factories, one per opcode.  Each returns ``fn(pc) -> next_pc``
 # depending only on the instruction word: pc-relative targets and link
-# addresses are computed from the runtime pc.  The factories
-# aggressively specialize: rd == zero becomes a pure nop with correct
-# cost, constants are folded into the closure.
+# addresses are computed from the runtime pc.  Every op-table opcode's
+# factory is generated from its row (:data:`repro.sim.jit.OPS`) and
+# compiled once at import with the row's expression inlined; the
+# immediate fold runs once per closure, when it is built.  A row that
+# writes ``rd`` gets a second body for ``rd == zero`` that drops the
+# write and keeps every other effect (a load still reads, so it can
+# fault).  TRAP/SYSCALL/BREAK/HALT never fuse and are written by hand.
 # ---------------------------------------------------------------------------
 
 _Factory = Callable[["CPU", object], Callable[[int], int]]
+
+
+def _closure_source(sem: OpSem) -> str:
+    """Source of ``make(cpu, ins)``, the closure factory of one op-table
+    row (``OP`` names the opcode in its namespace)."""
+    text = fill(sem.expr, *(f"r[{RA if role == 'ra' else role}]"
+                            for role in sem.reads), i="i")
+    addr = f"(r[rs1] + i) & {MASK32}"
+    step = "return pc + 4"
+    bare = None  # body when the written register is zero
+    if sem.kind == "alu":
+        body, bare = [f"r[rd] = {text}", step], [step]
+    elif sem.kind == "load":
+        body = [f"v = acc({addr})", f"r[rd] = {text}", step]
+        bare = [f"acc({addr})", step]
+    elif sem.kind == "store":
+        body = [f"acc({addr}, {text})", step]
+    elif sem.kind == "branch":
+        body = [f"return pc + i if {text} else pc + 4"]
+    elif sem.write:
+        body = [f"v = {text}", f"r[{RA if sem.write == 'ra' else 'rd'}] "
+                f"= pc + 4", "return v"]
+        bare = [f"return {text}"] if sem.write == "rd" else None
+    else:
+        body = [f"return {text}"]
+    lines = ["def make(cpu, ins):",
+             "    st, r = cpu.stats, cpu.regs",
+             "    cost = cpu.costs.op_cycles[OP]",
+             "    rd, rs1, rs2 = ins.rd, ins.rs1, ins.rs2",
+             f"    i = {fill(sem.imm, i='ins.imm')}"]
+    if sem.width:
+        verb = "read" if sem.kind == "load" else "write"
+        lines.append(f"    acc = cpu.mem.{verb}_{_WIDTHS[sem.width][0]}")
+
+    def closure(stmts: list[str], pad: str) -> list[str]:
+        return [f"{pad}def ex(pc):", f"{pad}    st[0] += 1",
+                f"{pad}    st[1] += cost",
+                *(f"{pad}    {stmt}" for stmt in stmts), f"{pad}return ex"]
+    if bare is not None:
+        lines += ["    if not rd:", *closure(bare, "        ")]
+    lines += closure(body, "    ")
+    return "\n".join(lines) + "\n"
+
+
 _FACTORIES: dict[Op, _Factory] = {}
+for _op, _sem in OPS.items():
+    _ns = {"OP": _op, **_HELPER_FNS}
+    exec(compile(_closure_source(_sem), f"<op {_op.name}>", "exec"), _ns)
+    _FACTORIES[_op] = _ns["make"]
 
 
 def _register(op: Op):
@@ -797,269 +856,6 @@ def _register(op: Op):
         _FACTORIES[op] = fn
         return fn
     return deco
-
-
-def _nop(cpu: CPU, op: Op) -> Callable[[int], int]:
-    """Closure for an ALU op writing ``zero``: only its cost remains."""
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[op]
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        return pc + 4
-    return ex
-
-
-def _alu_factory(op: Op, compute):
-    """Build a factory for a 3-register ALU op with semantics *compute*."""
-    def factory(cpu: CPU, ins):
-        regs = cpu.regs
-        st = cpu.stats
-        cost = cpu.costs.op_cycles[op]
-        rd, rs1, rs2 = ins.rd, ins.rs1, ins.rs2
-        if rd == 0:
-            return _nop(cpu, op)
-
-        def ex(pc: int) -> int:
-            st[0] += 1
-            st[1] += cost
-            regs[rd] = compute(regs[rs1], regs[rs2])
-            return pc + 4
-        return ex
-    _FACTORIES[op] = factory
-    return factory
-
-
-_alu_factory(Op.ADD, lambda a, b: (a + b) & MASK32)
-_alu_factory(Op.SUB, lambda a, b: (a - b) & MASK32)
-_alu_factory(Op.AND, lambda a, b: a & b)
-_alu_factory(Op.OR, lambda a, b: a | b)
-_alu_factory(Op.XOR, lambda a, b: a ^ b)
-_alu_factory(Op.NOR, lambda a, b: ~(a | b) & MASK32)
-_alu_factory(Op.SLT,
-             lambda a, b: 1 if (a ^ _SIGN_FLIP) < (b ^ _SIGN_FLIP) else 0)
-_alu_factory(Op.SLTU, lambda a, b: 1 if a < b else 0)
-_alu_factory(Op.SLL, lambda a, b: (a << (b & 31)) & MASK32)
-_alu_factory(Op.SRL, lambda a, b: a >> (b & 31))
-_alu_factory(Op.SRA,
-             lambda a, b: (to_signed32(a) >> (b & 31)) & MASK32)
-_alu_factory(Op.MUL, lambda a, b: (a * b) & MASK32)
-_alu_factory(Op.DIV, _sdiv)
-_alu_factory(Op.REM, _srem)
-
-
-def _alui_factory(op: Op, compute):
-    """Factory builder for register-immediate ALU ops."""
-    def factory(cpu: CPU, ins):
-        regs = cpu.regs
-        st = cpu.stats
-        cost = cpu.costs.op_cycles[op]
-        rd, rs1, imm = ins.rd, ins.rs1, ins.imm
-        if rd == 0:
-            return _nop(cpu, op)
-
-        def ex(pc: int) -> int:
-            st[0] += 1
-            st[1] += cost
-            regs[rd] = compute(regs[rs1], imm)
-            return pc + 4
-        return ex
-    _FACTORIES[op] = factory
-    return factory
-
-
-_alui_factory(Op.ADDI, lambda a, i: (a + i) & MASK32)
-_alui_factory(Op.ANDI, lambda a, i: a & i)
-_alui_factory(Op.ORI, lambda a, i: a | i)
-_alui_factory(Op.XORI, lambda a, i: a ^ i)
-_alui_factory(Op.SLTI,
-              lambda a, i: 1 if (a ^ _SIGN_FLIP) < ((i & MASK32) ^ _SIGN_FLIP)
-              else 0)
-_alui_factory(Op.SLTIU, lambda a, i: 1 if a < i else 0)
-_alui_factory(Op.SLLI, lambda a, i: (a << (i & 31)) & MASK32)
-_alui_factory(Op.SRLI, lambda a, i: a >> (i & 31))
-_alui_factory(Op.SRAI, lambda a, i: (to_signed32(a) >> (i & 31)) & MASK32)
-
-
-@_register(Op.LUI)
-def _f_lui(cpu: CPU, ins):
-    # LUI ignores rs1: specialize to a pure constant store instead of
-    # the generic register-immediate closure (which would read a source
-    # register it never uses).
-    regs = cpu.regs
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[Op.LUI]
-    rd = ins.rd
-    value = (ins.imm << 16) & MASK32
-    if rd == 0:
-        return _nop(cpu, Op.LUI)
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        regs[rd] = value
-        return pc + 4
-    return ex
-
-
-def _load_factory(op: Op, reader_name: str, sign_bits: int | None):
-    def factory(cpu: CPU, ins):
-        regs = cpu.regs
-        st = cpu.stats
-        mem = cpu.mem
-        cost = cpu.costs.op_cycles[op]
-        rd, rs1, imm = ins.rd, ins.rs1, ins.imm
-        read = getattr(mem, reader_name)
-        if sign_bits is None:
-            def ex(pc: int) -> int:
-                st[0] += 1
-                st[1] += cost
-                value = read((regs[rs1] + imm) & MASK32)
-                if rd:
-                    regs[rd] = value
-                return pc + 4
-        else:
-            flip = 1 << (sign_bits - 1)
-            wrap = 1 << sign_bits
-
-            def ex(pc: int) -> int:
-                st[0] += 1
-                st[1] += cost
-                value = read((regs[rs1] + imm) & MASK32)
-                if value & flip:
-                    value = (value - wrap) & MASK32
-                if rd:
-                    regs[rd] = value
-                return pc + 4
-        return ex
-    _FACTORIES[op] = factory
-
-
-_load_factory(Op.LW, "read_word", None)
-_load_factory(Op.LH, "read_half", 16)
-_load_factory(Op.LHU, "read_half", None)
-_load_factory(Op.LB, "read_byte", 8)
-_load_factory(Op.LBU, "read_byte", None)
-
-
-def _store_factory(op: Op, writer_name: str):
-    def factory(cpu: CPU, ins):
-        regs = cpu.regs
-        st = cpu.stats
-        mem = cpu.mem
-        cost = cpu.costs.op_cycles[op]
-        rd, rs1, imm = ins.rd, ins.rs1, ins.imm
-        write = getattr(mem, writer_name)
-
-        def ex(pc: int) -> int:
-            st[0] += 1
-            st[1] += cost
-            write((regs[rs1] + imm) & MASK32, regs[rd])
-            return pc + 4
-        return ex
-    _FACTORIES[op] = factory
-
-
-_store_factory(Op.SW, "write_word")
-_store_factory(Op.SH, "write_half")
-_store_factory(Op.SB, "write_byte")
-
-
-def _branch_factory(op: Op, test):
-    def factory(cpu: CPU, ins):
-        regs = cpu.regs
-        st = cpu.stats
-        cost = cpu.costs.op_cycles[op]
-        rs1, rs2 = ins.rs1, ins.rs2
-        offset = 4 + (ins.imm << 2)
-
-        def ex(pc: int) -> int:
-            st[0] += 1
-            st[1] += cost
-            return pc + offset if test(regs[rs1], regs[rs2]) else pc + 4
-        return ex
-    _FACTORIES[op] = factory
-
-
-_branch_factory(Op.BEQ, lambda a, b: a == b)
-_branch_factory(Op.BNE, lambda a, b: a != b)
-_branch_factory(Op.BLT, lambda a, b: (a ^ _SIGN_FLIP) < (b ^ _SIGN_FLIP))
-_branch_factory(Op.BGE, lambda a, b: (a ^ _SIGN_FLIP) >= (b ^ _SIGN_FLIP))
-_branch_factory(Op.BLTU, lambda a, b: a < b)
-_branch_factory(Op.BGEU, lambda a, b: a >= b)
-
-
-@_register(Op.J)
-def _f_j(cpu: CPU, ins):
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[Op.J]
-    target = ins.imm << 2
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        return target
-    return ex
-
-
-@_register(Op.JAL)
-def _f_jal(cpu: CPU, ins):
-    regs = cpu.regs
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[Op.JAL]
-    target = ins.imm << 2
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        regs[RA] = pc + 4
-        return target
-    return ex
-
-
-@_register(Op.JR)
-def _f_jr(cpu: CPU, ins):
-    regs = cpu.regs
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[Op.JR]
-    rs1 = ins.rs1
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        return regs[rs1]
-    return ex
-
-
-@_register(Op.JALR)
-def _f_jalr(cpu: CPU, ins):
-    regs = cpu.regs
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[Op.JALR]
-    rd, rs1 = ins.rd, ins.rs1
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        target = regs[rs1]
-        if rd:
-            regs[rd] = pc + 4
-        return target
-    return ex
-
-
-@_register(Op.RET)
-def _f_ret(cpu: CPU, ins):
-    regs = cpu.regs
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[Op.RET]
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        return regs[RA]
-    return ex
 
 
 @_register(Op.TRAP)
@@ -1158,8 +954,8 @@ def _bind_superblock(cpu: CPU, code, fixups, target):
             "_C": cpu, "_F": fixups, "_rw": mem.read_word,
             "_rh": mem.read_half, "_rb": mem.read_byte,
             "_ww": mem.write_word, "_wh": mem.write_half,
-            "_wb": mem.write_byte, "_sgn": to_signed32, "_sdiv": _sdiv,
-            "_srem": _srem,
+            "_wb": mem.write_byte,
+            **{"_" + name: fn for name, fn in _HELPER_FNS.items()},
             "_fB": fast.base if fast else 1,
             "_fE": fast.end_addr if fast else 0,
             "_fV": fast.view32 if fast else None,

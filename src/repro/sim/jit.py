@@ -1,6 +1,17 @@
 """Template-JIT: superblocks compiled to specialized Python source.
 
-This module is the interpreter's only superblock compiler.  Cold fused
+This module owns the interpreter's **op table** (:data:`OPS`): one row
+per fusable opcode — everything but TRAP/SYSCALL/BREAK/HALT — stating
+its semantics once as Python expression text over operand texts, the
+registers it reads and writes, its immediate fold and, for loads and
+stores, the access width and signedness (from
+:class:`~repro.isa.InsnSpec`).  The template below and the
+per-instruction closures of :mod:`repro.sim.cpu` are both generated
+from it, as are the fuser's opcode classes, the live-in pre-scan and
+constant folding, so the tiers cannot disagree about what an opcode
+does.
+
+The template is the interpreter's only superblock compiler.  Cold fused
 blocks run at tier 0 (:meth:`repro.sim.cpu.CPU._tier0`: the block's
 per-instruction closures called in turn, each reading and writing the
 shared ``r[...]`` list); once a block's content is hot, the JIT
@@ -44,6 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..isa import (
+    MEMORY_OPS,
+    SPECS,
     Fmt,
     Op,
     branch_target,
@@ -56,7 +69,6 @@ from ..isa import (
 from ..isa.registers import RA
 
 MASK32 = 0xFFFFFFFF
-_SIGN_FLIP = 0x80000000
 
 _M = "4294967295"       # MASK32 literal
 _S = "2147483648"       # sign-flip literal
@@ -110,88 +122,146 @@ def _srem(a: int, b: int) -> int:
     return r & MASK32
 
 
-_SB_ALU_R = {
-    Op.ADD: lambda a, b: f"({a} + {b}) & {_M}",
-    Op.SUB: lambda a, b: f"({a} - {b}) & {_M}",
-    Op.AND: lambda a, b: f"{a} & {b}",
-    Op.OR: lambda a, b: f"{a} | {b}",
-    Op.XOR: lambda a, b: f"{a} ^ {b}",
-    Op.NOR: lambda a, b: f"~({a} | {b}) & {_M}",
-    Op.SLT: lambda a, b: f"1 if ({a} ^ {_S}) < ({b} ^ {_S}) else 0",
-    Op.SLTU: lambda a, b: f"1 if {a} < {b} else 0",
-    Op.SLL: lambda a, b: f"({a} << ({b} & 31)) & {_M}",
-    Op.SRL: lambda a, b: f"{a} >> ({b} & 31)",
-    Op.SRA: lambda a, b: f"(sgn({a}) >> ({b} & 31)) & {_M}",
-    Op.MUL: lambda a, b: f"({a} * {b}) & {_M}",
-    Op.DIV: lambda a, b: f"sdiv({a}, {b})",
-    Op.REM: lambda a, b: f"srem({a}, {b})",
+# ---------------------------------------------------------------------------
+# The op table: each fusable opcode's semantics, stated once.  The
+# template below and the per-instruction closures of
+# :mod:`repro.sim.cpu` are both generated from these rows.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OpSem:
+    """One op-table row.
+
+    *expr* is Python expression text over operand placeholders:
+    ``{a}`` and ``{b}`` are the registers named by *reads*, in order;
+    ``{i}`` is the immediate after the *imm* fold, which is evaluated
+    once per closure or per generated block; ``{v}`` is a load's raw
+    value; ``{M}`` and ``{S}`` are the 32-bit mask and sign-bit
+    literals.  A role is an :class:`~repro.isa.Insn` field name, or
+    ``"ra"`` for the link register.  *expr* means, by *kind*:
+
+    * ``alu``: the value written to *write*;
+    * ``load``: the value written to *write*, from the *width*-byte
+      ``{v}`` read at ``({a} + imm) & M`` (*signed*: sign-extended);
+    * ``store``: the value written as *width* bytes at
+      ``({a} + imm) & M``;
+    * ``branch``: the condition; true exits to ``pc + T``, with ``T``
+      the folded immediate (the taken offset), false falls through;
+    * ``jump``: the exit pc; *write*, if any, receives ``pc + 4``.
+
+    The template reads a branch's, ``J``'s and ``JAL``'s ``{i}`` from
+    the per-block ``T`` argument (:func:`split_target`) instead.
+    """
+
+    kind: str
+    expr: str
+    reads: tuple[str, ...] = ()
+    write: str | None = None
+    imm: str = "{i}"
+    width: int = 0
+    signed: bool = False
+
+
+def fill(text: str, a: str = "", b: str = "", i: object = "",
+         v: str = "v") -> str:
+    """Substitute operand texts into op-table *text*."""
+    return text.format(a=a, b=b, i=i, v=v, M=_M, S=_S)
+
+
+def _rr(expr: str) -> OpSem:
+    return OpSem("alu", expr, ("rs1", "rs2"), "rd")
+
+
+def _ri(expr: str, imm: str = "{i}") -> OpSem:
+    return OpSem("alu", expr, ("rs1",), "rd", imm)
+
+
+def _mem(op: Op) -> OpSem:
+    spec = SPECS[op]
+    if spec.writes_mem:
+        return OpSem("store", "{b}", ("rs1", "rd"), width=spec.mem_width)
+    bits = 8 * spec.mem_width
+    expr = ("({v} - %d) & {M} if {v} & %d else {v}"
+            % (1 << bits, 1 << (bits - 1)) if spec.mem_signed else "{v}")
+    return OpSem("load", expr, ("rs1",), "rd", width=spec.mem_width,
+                 signed=spec.mem_signed)
+
+
+def _br(cond: str) -> OpSem:
+    return OpSem("branch", cond, ("rs1", "rs2"), imm="4 + ({i} << 2)")
+
+
+#: Opcode -> semantics for every opcode the fuser may place in a block
+#: (all but TRAP/SYSCALL/BREAK/HALT).
+OPS: dict[Op, OpSem] = {
+    Op.ADD: _rr("({a} + {b}) & {M}"),
+    Op.SUB: _rr("({a} - {b}) & {M}"),
+    Op.AND: _rr("{a} & {b}"),
+    Op.OR: _rr("{a} | {b}"),
+    Op.XOR: _rr("{a} ^ {b}"),
+    Op.NOR: _rr("~({a} | {b}) & {M}"),
+    Op.SLT: _rr("1 if ({a} ^ {S}) < ({b} ^ {S}) else 0"),
+    Op.SLTU: _rr("1 if {a} < {b} else 0"),
+    Op.SLL: _rr("({a} << ({b} & 31)) & {M}"),
+    Op.SRL: _rr("{a} >> ({b} & 31)"),
+    Op.SRA: _rr("(sgn({a}) >> ({b} & 31)) & {M}"),
+    Op.MUL: _rr("({a} * {b}) & {M}"),
+    Op.DIV: _rr("sdiv({a}, {b})"),
+    Op.REM: _rr("srem({a}, {b})"),
+    Op.ADDI: _ri("({a} + ({i})) & {M}"),
+    Op.ANDI: _ri("{a} & {i}"),
+    Op.ORI: _ri("{a} | {i}"),
+    Op.XORI: _ri("{a} ^ {i}"),
+    Op.SLTI: _ri("1 if ({a} ^ {S}) < {i} else 0", "({i} & {M}) ^ {S}"),
+    Op.SLTIU: _ri("1 if {a} < {i} else 0"),
+    Op.SLLI: _ri("({a} << {i}) & {M}", "{i} & 31"),
+    Op.SRLI: _ri("{a} >> {i}", "{i} & 31"),
+    Op.SRAI: _ri("(sgn({a}) >> {i}) & {M}", "{i} & 31"),
+    Op.LUI: OpSem("alu", "{i}", (), "rd", "({i} << 16) & {M}"),
+    **{op: _mem(op) for op in sorted(MEMORY_OPS)},
+    Op.BEQ: _br("{a} == {b}"),
+    Op.BNE: _br("{a} != {b}"),
+    Op.BLT: _br("({a} ^ {S}) < ({b} ^ {S})"),
+    Op.BGE: _br("({a} ^ {S}) >= ({b} ^ {S})"),
+    Op.BLTU: _br("{a} < {b}"),
+    Op.BGEU: _br("{a} >= {b}"),
+    Op.J: OpSem("jump", "{i}", imm="{i} << 2"),
+    Op.JAL: OpSem("jump", "{i}", write="ra", imm="{i} << 2"),
+    Op.JR: OpSem("jump", "{a}", ("rs1",)),
+    Op.JALR: OpSem("jump", "{a}", ("rs1",), "rd"),
+    Op.RET: OpSem("jump", "{a}", ("ra",)),
 }
-
-#: helper names each R-type op pulls into the generated function.
-_SB_ALU_R_HELPERS = {Op.SRA: ("sgn",), Op.DIV: ("sdiv",),
-                     Op.REM: ("srem",)}
-
-#: op -> (reader binding name, sign bits or None)
-_SB_LOADS = {
-    Op.LW: ("rw", None),
-    Op.LH: ("rh", 16),
-    Op.LHU: ("rh", None),
-    Op.LB: ("rb", 8),
-    Op.LBU: ("rb", None),
-}
-
-_SB_STORES = {Op.SW: "ww", Op.SH: "wh", Op.SB: "wb"}
-
-_SB_BRANCH_COND = {
-    Op.BEQ: lambda a, b: f"{a} == {b}",
-    Op.BNE: lambda a, b: f"{a} != {b}",
-    Op.BLT: lambda a, b: f"({a} ^ {_S}) < ({b} ^ {_S})",
-    Op.BGE: lambda a, b: f"({a} ^ {_S}) >= ({b} ^ {_S})",
-    Op.BLTU: lambda a, b: f"{a} < {b}",
-    Op.BGEU: lambda a, b: f"{a} >= {b}",
-}
-
-_SB_ALU_I_OPS = frozenset({
-    Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLTI, Op.SLTIU, Op.SLLI,
-    Op.SRLI, Op.SRAI, Op.LUI,
-})
 
 #: Straight-line instructions the fuser may place mid-block.
-_SB_STRAIGHT_OPS = (frozenset(_SB_ALU_R) | _SB_ALU_I_OPS |
-                    frozenset(_SB_LOADS) | frozenset(_SB_STORES))
+_SB_STRAIGHT_OPS = frozenset(
+    op for op, sem in OPS.items() if sem.kind in ("alu", "load", "store"))
 
 #: Control transfers the fuser may inline as a block terminator.
-_SB_TERM_OPS = (frozenset(_SB_BRANCH_COND) |
-                frozenset({Op.J, Op.JAL, Op.JR, Op.JALR, Op.RET}))
+_SB_TERM_OPS = frozenset(OPS) - _SB_STRAIGHT_OPS
+
+#: Stores: a fused block holding one re-checks the code generation.
+_SB_STORES = frozenset(op for op, sem in OPS.items() if sem.kind == "store")
+
+#: Opcode -> its immediate fold as a function, where not the identity.
+_FOLDS = {op: eval("lambda i: " + fill(sem.imm, i="i"))
+          for op, sem in OPS.items() if sem.imm != "{i}"}
+
+#: Helpers op-table text may call, by the name the text uses.
+_HELPER_FNS = {"sgn": to_signed32, "sdiv": _sdiv, "srem": _srem}
+
+#: Access width -> (memory accessor name, fast-path view, view index,
+#: alignment test, stored-value mask) for memory ops.
+_WIDTHS = {
+    4: ("word", "V", "(a - B) >> 2", " and not a & 3", ""),
+    2: ("half", "H", "(a - B) >> 1", " and not a & 1", " & 65535"),
+    1: ("byte", "BUF", "a - B", "", " & 255"),
+}
 
 
-def _sb_alu_i_expr(ins, a: str) -> str:
-    """Expression for a register-immediate ALU op with source text *a*
-    (a local or a folded literal); immediates are folded into the
-    text."""
-    op, imm = ins.op, ins.imm
-    if op is Op.ADDI:
-        return f"({a} + ({imm})) & {_M}"
-    if op is Op.ANDI:
-        return f"{a} & {imm}"
-    if op is Op.ORI:
-        return f"{a} | {imm}"
-    if op is Op.XORI:
-        return f"{a} ^ {imm}"
-    if op is Op.SLTI:
-        folded = ((imm & 0xFFFFFFFF) ^ _SIGN_FLIP)
-        return f"1 if ({a} ^ {_S}) < {folded} else 0"
-    if op is Op.SLTIU:
-        return f"1 if {a} < {imm} else 0"
-    if op is Op.SLLI:
-        return f"({a} << {imm & 31}) & {_M}"
-    if op is Op.SRLI:
-        return f"{a} >> {imm & 31}"
-    if op is Op.SRAI:
-        return f"(sgn({a}) >> {imm & 31}) & {_M}"
-    if op is Op.LUI:
-        return str((imm << 16) & 0xFFFFFFFF)  # constant-folded
-    raise AssertionError(op)  # pragma: no cover
+def _reg(ins, role: str) -> int:
+    """Register number that op-table *role* names in *ins*."""
+    return RA if role == "ra" else getattr(ins, role)
 
 
 @dataclass
@@ -223,8 +293,7 @@ class JitStats:
 
 #: Environment for generation-time constant folding: the exact helper
 #: objects the generated code would call at runtime.
-_CONST_ENV = {"sgn": to_signed32, "sdiv": _sdiv, "srem": _srem,
-              "__builtins__": {}}
+_CONST_ENV = {**_HELPER_FNS, "__builtins__": {}}
 
 #: Source text -> compiled code object (JIT template instances).
 _JIT_CODE_CACHE: dict[str, object] = {}
@@ -288,47 +357,15 @@ def jit_codegen(costs, insns, term):
     """
     # -- pre-scan: registers read before written (block live-ins) -----
     live_in: list[int] = []
-    _seen: set[int] = set()
     written: set[int] = set()
-
-    def note_read(reg: int) -> None:
-        if reg and reg not in written and reg not in _seen:
-            _seen.add(reg)
-            live_in.append(reg)
-
-    def note_write(reg: int) -> None:
-        if reg:
-            written.add(reg)
-
-    for _off, ins in insns:
-        op = ins.op
-        if op in _SB_ALU_R:
-            note_read(ins.rs1)
-            note_read(ins.rs2)
-            note_write(ins.rd)
-        elif op is Op.LUI:
-            note_write(ins.rd)
-        elif op in _SB_ALU_I_OPS:
-            note_read(ins.rs1)
-            note_write(ins.rd)
-        elif op in _SB_LOADS:
-            note_read(ins.rs1)
-            note_write(ins.rd)
-        elif op in _SB_STORES:
-            note_read(ins.rs1)
-            note_read(ins.rd)
-        else:  # pragma: no cover - fuser admits only straight ops
-            raise AssertionError(op)
-    if term is not None:
-        tins = term[1]
-        top = tins.op
-        if top in _SB_BRANCH_COND:
-            note_read(tins.rs1)
-            note_read(tins.rs2)
-        elif top in (Op.JR, Op.JALR):
-            note_read(tins.rs1)
-        elif top is Op.RET:
-            note_read(RA)
+    for _off, ins in insns if term is None else [*insns, term]:
+        sem = OPS[ins.op]
+        for role in sem.reads:
+            reg = _reg(ins, role)
+            if reg and reg not in written and reg not in live_in:
+                live_in.append(reg)
+        if sem.write:
+            written.add(_reg(ins, sem.write))
 
     # -- emission -----------------------------------------------------
     #: reg -> "x{reg}" (live local) or int (known constant).
@@ -367,132 +404,93 @@ def jit_codegen(costs, insns, term):
 
     for off, ins in insns:
         op = ins.op
+        sem = OPS[op]
         tot_n += 1
         tot_c += costs[op]
-        if op in _SB_LOADS:
-            reader, sign_bits = _SB_LOADS[op]
-            used.add(reader)
-            has_mem = True
-            rd = ins.rd
-            body.append(f"a = {addr_text(ins)}")
-            # fast path: one bound data region (B, E, views supplied at
-            # bind time) served by a direct memoryview index; anything
-            # else — other regions, misalignment, faults — falls back to
-            # the accessor call, which is the only part that can raise
-            if reader == "rw":
-                used.add("V")
-                fast = (f"V[(a - B) >> 2] "
-                        f"if B <= a < E and not a & 3 else rw(a)")
-            elif reader == "rh":
-                used.add("H")
-                fast = (f"H[(a - B) >> 1] "
-                        f"if B <= a < E and not a & 1 else rh(a)")
+        rd = ins.rd
+        srcs = [_reg(ins, role) for role in sem.reads]
+        if sem.kind == "alu":
+            if rd == 0:
+                continue  # cost counted; architecturally a nop
+            fold = _FOLDS.get(op)
+            expr = fill(sem.expr, *map(operand, srcs),
+                        i=fold(ins.imm) if fold else ins.imm)
+            if all(const_of(s) is not None for s in srcs):
+                # every source is a known constant: evaluate the exact
+                # expression the runtime would have executed
+                loc[rd] = eval(expr, dict(_CONST_ENV))
             else:
-                used.add("BUF")
-                fast = f"BUF[a - B] if B <= a < E else rb(a)"
+                used.update(h for h in _HELPER_FNS if h in expr)
+                body.append(f"x{rd} = {expr}")
+                loc[rd] = f"x{rd}"
+            dirty[rd] = None
+            continue
+        # fast path: one bound data region (B, E, views supplied at bind
+        # time) served by a direct memoryview index; anything else —
+        # other regions, misalignment, faults — falls back to the
+        # accessor call, which is the only part that can raise
+        name, view, index, align, vmask = _WIDTHS[sem.width]
+        used.add(view)
+        has_mem = True
+        body.append(f"a = {addr_text(ins)}")
+        if sem.kind == "load":
+            reader = "r" + name[0]
+            used.add(reader)
+            fast = f"{view}[{index}] if B <= a < E{align} else {reader}(a)"
             mem_marks.append((len(body), off, tot_n, tot_c, snapshot()))
             if rd == 0:
                 # read for fault semantics, discard the value
                 body.append(f"v = {fast}")
                 continue
-            if sign_bits is None:
-                body.append(f"x{rd} = {fast}")
-            else:
-                flip = 1 << (sign_bits - 1)
-                wrap = 1 << sign_bits
+            if sem.signed:
                 body.append(f"v = {fast}")
-                body.append(
-                    f"x{rd} = (v - {wrap}) & {_M} if v & {flip} else v")
+                fast = fill(sem.expr)
+            body.append(f"x{rd} = {fast}")
             loc[rd] = f"x{rd}"
             dirty[rd] = None
-        elif op in _SB_STORES:
-            writer = _SB_STORES[op]
+        else:
+            writer = "w" + name[0]
             used.add(writer)
-            has_mem = True
             has_store = True
-            val = operand(ins.rd)
-            body.append(f"a = {addr_text(ins)}")
+            val = fill(sem.expr, *map(operand, srcs))
             # the fast region is never executable, so an in-bounds store
             # cannot rewrite code and needs no self-modification check;
             # the slow path may have patched code (even this block):
             # spill the dirty registers, commit the executed prefix and
             # fall back to fresh dispatch so patched words take effect
             # exactly as they would under per-instruction decode
-            if writer == "ww":
-                used.add("V")
-                body.append(f"if B <= a < E and not a & 3: "
-                            f"V[(a - B) >> 2] = {val}")
-            elif writer == "wh":
-                used.add("H")
-                body.append(f"if B <= a < E and not a & 1: "
-                            f"H[(a - B) >> 1] = {val} & 65535")
-            else:
-                used.add("BUF")
-                body.append(f"if B <= a < E: BUF[a - B] = {val} & 255")
+            body.append(
+                f"if B <= a < E{align}: {view}[{index}] = {val}{vmask}")
             body.append("else:")
             mem_marks.append((len(body), off, tot_n, tot_c, snapshot()))
             body.append(f"    {writer}(a, {val})")
             spill = "".join(f"r[{r}] = {operand(r)}; " for r in dirty)
             body.append(f"    if cw[0] != g: {spill}st[0] += {tot_n}; "
                         f"st[1] += {tot_c}; return pc + {off + 4}")
-        else:
-            rd = ins.rd
-            if op in _SB_ALU_R:
-                srcs = (ins.rs1, ins.rs2)
-                expr = _SB_ALU_R[op](operand(ins.rs1), operand(ins.rs2))
-                helpers = _SB_ALU_R_HELPERS.get(op, ())
-            elif op is Op.LUI:
-                srcs = ()
-                expr = str((ins.imm << 16) & MASK32)
-                helpers = ()
-            else:
-                srcs = (ins.rs1,)
-                expr = _sb_alu_i_expr(ins, operand(ins.rs1))
-                helpers = ("sgn",) if op is Op.SRAI else ()
-            if rd == 0:
-                continue  # cost counted; architecturally a nop
-            if all(const_of(s) is not None for s in srcs):
-                # every source is a known constant: evaluate the exact
-                # expression the runtime would have executed
-                loc[rd] = eval(expr, dict(_CONST_ENV))
-            else:
-                used.update(helpers)
-                body.append(f"x{rd} = {expr}")
-                loc[rd] = f"x{rd}"
-            dirty[rd] = None
 
     def spill_lines() -> list[str]:
         return [f"r[{r}] = {operand(r)}" for r in dirty]
 
     if term is not None:
         toff, tins = term
-        top = tins.op
+        sem = OPS[tins.op]
         tot_n += 1
-        tot_c += costs[top]
+        tot_c += costs[tins.op]
         body.append(f"st[0] += {tot_n}; st[1] += {tot_c}")
         body.extend(spill_lines())
-        if top in _SB_BRANCH_COND:
-            cond = _SB_BRANCH_COND[top](operand(tins.rs1),
-                                        operand(tins.rs2))
-            body.append(f"return pc + T if {cond} else pc + {toff + 4}")
-        elif top is Op.J:
-            body.append("return T")
-        elif top is Op.JAL:
-            body.append(f"r[{RA}] = pc + {toff + 4}")
-            body.append("return T")
-        elif top is Op.JR:
-            body.append(f"return {operand(tins.rs1)}")
-        elif top is Op.JALR:
-            if tins.rd:
-                body.append(f"v = {operand(tins.rs1)}")
-                body.append(f"r[{tins.rd}] = pc + {toff + 4}")
-                body.append("return v")
-            else:
-                body.append(f"return {operand(tins.rs1)}")
-        elif top is Op.RET:
-            body.append(f"return {operand(RA)}")
-        else:  # pragma: no cover - terminator set is closed
-            raise AssertionError(top)
+        srcs = [operand(_reg(tins, role)) for role in sem.reads]
+        exit_pc = fill(sem.expr, *srcs, i="T")
+        fall = f"pc + {toff + 4}"
+        link = _reg(tins, sem.write) if sem.write else 0
+        if sem.kind == "branch":
+            exit_pc = f"pc + T if {exit_pc} else {fall}"
+        elif link and srcs:
+            # read the exit register before the link write may clobber it
+            body += [f"v = {exit_pc}", f"r[{link}] = {fall}"]
+            exit_pc = "v"
+        elif link:
+            body.append(f"r[{link}] = {fall}")
+        body.append(f"return {exit_pc}")
     else:
         body.append(f"st[0] += {tot_n}; st[1] += {tot_c}")
         body.extend(spill_lines())

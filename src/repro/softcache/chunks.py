@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from ..asm.image import Image, ProcSpan
 from ..cfg import Term, scan_block
-from ..isa import Insn, Op, Trap, decode, encode, jump_target
+from ..isa import BRANCH_OPS, Insn, Op, Trap, decode, encode, jump_target
 
 #: Placeholder TRAP word; the CC fills in the real stub/site id.
 _TRAP_PLACEHOLDER = {
@@ -316,8 +316,7 @@ class ProcedureChunker:
                 raise ChunkError(
                     f"{proc.name}: indirect jump at {pc:#x} — not "
                     f"supported by the ARM-style prototype (paper §2.3)")
-            elif op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU,
-                        Op.BGEU):
+            elif op in BRANCH_OPS:
                 target = pc + 4 + (ins.imm << 2)
                 if not proc.contains(target):
                     raise ChunkError(
