@@ -1,10 +1,10 @@
-"""Interpreter dispatch tiers: per-instruction vs tier 0 vs JIT.
+"""Interpreter dispatch tiers: per-instruction vs JIT.
 
 Same simulated program, same architectural results — the only thing
 measured here is host-side interpreter speed per tier and what the
 fuser/JIT did: how much of the dynamic instruction stream runs inside
-fused blocks, and how much of that was promoted from tier 0 (threaded
-per-instruction closures) to generated-source JIT functions.
+fused blocks, each of which binds generated-source JIT code at its
+first dispatch.
 
 Two entry points:
 
@@ -12,7 +12,7 @@ Two entry points:
   times each tier per workload;
 * standalone, ``python benchmarks/bench_superblock.py`` writes
   ``BENCH_jit.json`` with per-tier wall times, simulated-instruction
-  throughput and the JIT counters (promotions, codegen vs cache hits),
+  throughput and the JIT counters (bound blocks, codegen vs cache hits),
   asserting cycle-identity across tiers as it goes.
 """
 
@@ -39,13 +39,11 @@ WORKLOADS = {"sensor": 0.05, "adpcm_enc": 0.05}
 #: tier name -> MachineConfig kwargs.
 TIERS = {
     "per_insn": {"superblocks": False},
-    "tier0": {"superblocks": True, "jit": "off"},
-    "jit_hot": {"superblocks": True, "jit": "hot"},
-    "jit_all": {"superblocks": True, "jit": "all"},
+    "jit": {"superblocks": True},
 }
 
 
-@pytest.mark.parametrize("tier", ["per_insn", "tier0", "jit_all"])
+@pytest.mark.parametrize("tier", list(TIERS))
 @pytest.mark.parametrize("name", list(WORKLOADS))
 def test_dispatch_throughput(benchmark, name, tier):
     image = build_workload(name, WORKLOADS[name])
@@ -66,7 +64,7 @@ def test_fusion_stats():
     lines = []
     for name, scale in WORKLOADS.items():
         machine = Machine(build_workload(name, scale),
-                          MachineConfig(superblocks=True, jit="hot"))
+                          MachineConfig(**TIERS["jit"]))
         machine.run()
         stats = machine.cpu.sb_stats
         jstats = machine.cpu.jit_stats
@@ -78,7 +76,7 @@ def test_fusion_stats():
             f"{stats.fused_instructions} fused instructions "
             f"(mean {stats.mean_block_length:.1f}/block), "
             f"{stats.single_closures} single closures, "
-            f"{jstats.jit_promotions} JIT promotions covering "
+            f"{jstats.jit_blocks} JIT blocks covering "
             f"{jstats.jit_instructions} instructions")
     save_result("superblock_fusion",
                 "Superblock fusion statistics:\n" + "\n".join(lines))
@@ -109,7 +107,6 @@ def _timed_tier(image, kwargs: dict, repeat: int) -> dict:
         "jit": {
             "blocks": js.jit_blocks,
             "instructions": js.jit_instructions,
-            "promotions": js.jit_promotions,
             "codegen": js.jit_codegen,
             "mem_hits": js.jit_mem_hits,
             "disk_hits": js.jit_disk_hits,
@@ -120,7 +117,7 @@ def _timed_tier(image, kwargs: dict, repeat: int) -> dict:
 
 def run_benchmarks(repeat: int = 3) -> dict:
     results: dict = {
-        "schema": "BENCH_jit/1",
+        "schema": "BENCH_jit/2",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "workloads": {},

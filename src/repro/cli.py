@@ -19,7 +19,7 @@ from pathlib import Path
 from .isa import disassemble_range
 from .net import LOCAL_LINK, LinkModel
 from .profiling import profile_image
-from .sim import JIT_MODES, run_native
+from .sim import run_native
 from .softcache import SoftCacheConfig, SoftCacheSystem, policy_names
 from .workloads import WORKLOADS, build_workload
 
@@ -44,8 +44,6 @@ def _softcache_config(args, recorder=None,
         link=link, data_cache=dcache_config,
         prefetch_depth=args.prefetch_depth,
         debug_poison=getattr(args, "poison", False),
-        jit=getattr(args, "jit", "hot"),
-        jit_threshold=getattr(args, "jit_threshold", 16),
         recorder=recorder, fault_plan=fault_plan,
         update_at=tuple(getattr(args, "update_at", None) or ()))
 
@@ -92,15 +90,6 @@ def _tcache_size(value: str):
     if value.strip().lower() == "auto":
         return "auto"
     return int(value)
-
-
-def _jit_threshold(value: str) -> int:
-    """``--jit-threshold``: an integer >= 1, rejected at parse time."""
-    threshold = int(value)
-    if threshold < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 1, got {threshold}")
-    return threshold
 
 
 def _resolve_auto_tcache(args, image) -> None:
@@ -486,7 +475,7 @@ def _admin_offline(args) -> int:
     meta, events = load_jsonl(args.from_file)
     if args.verb == "stats":
         print(f"# recorded trace {args.from_file} "
-              f"(schema {meta.get('schema_version')}, "
+              f"(schema {meta.get('schema')}, "
               f"{len(events)} events)")
         counts = {}
         for ev in events:
@@ -547,15 +536,10 @@ def _cmd_admin(args) -> int:
             payload = {}
             if args.prefetch_depth is not None:
                 payload["prefetch_depth"] = args.prefetch_depth
-            if args.jit is not None:
-                payload["jit"] = args.jit
-            if args.jit_threshold is not None:
-                payload["jit_threshold"] = args.jit_threshold
             if args.policy is not None:
                 payload["policy"] = args.policy
             if not payload:
-                print("admin set needs --prefetch-depth, --jit, "
-                      "--jit-threshold and/or --policy",
+                print("admin set needs --prefetch-depth and/or --policy",
                       file=sys.stderr)
                 return 2
         elif args.verb == "publish":
@@ -687,14 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(see docs/FAULTS.md)")
         p.add_argument("--seed", type=int, default=0,
                        help="PRNG seed for the fault plan")
-        p.add_argument("--jit", default="hot", choices=JIT_MODES,
-                       help="template-JIT tier for superblocks: off = "
-                            "tier 0 only, hot = promote after "
-                            "--jit-threshold executions (default), "
-                            "all = compile every fused block eagerly")
-        p.add_argument("--jit-threshold", type=_jit_threshold, default=16,
-                       help="superblock executions before JIT "
-                            "promotion (jit=hot)")
         p.add_argument("--update-at", metavar="CYCLES:IMAGE",
                        action="append", default=None,
                        help="publish a new image version once the "
@@ -752,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     debug.add_argument("--poison", action="store_true",
                        help="poison evicted blocks (louder audits)")
     debug.add_argument("--dump-superblock", metavar="PC",
-                       help="print tier, hit count, guest disassembly "
+                       help="print tier, guest disassembly "
                             "and generated Python source for the "
                             "superblock(s) covering PC (hex or "
                             "decimal) at end of run")
@@ -834,11 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inspect: which snapshot section")
     admin.add_argument("--prefetch-depth", type=int, default=None,
                        help="set: new prefetch depth")
-    admin.add_argument("--jit", default=None, choices=JIT_MODES,
-                       help="set: new JIT mode")
-    admin.add_argument("--jit-threshold", type=_jit_threshold,
-                       default=None,
-                       help="set: new JIT promotion threshold")
     admin.add_argument("--policy", default=None,
                        choices=policy_names(),
                        help="set: swap the replacement policy (fresh "

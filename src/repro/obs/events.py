@@ -42,13 +42,16 @@ from .metrics import MetricsRegistry
 #: v3: event-driven fleet (fleet.client gains delay_s, fleet.queue
 #: gains where and folds shard waits in, fleet.shard / fleet.hub
 #: summaries) — see docs/FLEET.md.
-#: v4: template-JIT tier (cpu track: cpu.jit_compile / cpu.jit_load /
-#: cpu.jit_promote) — see docs/PERFORMANCE.md.
+#: v4: template-JIT tier (cpu track: cpu.jit_compile / cpu.jit_load
+#: and a heat-promotion event) — see docs/PERFORMANCE.md.
 #: v5: replacement policies (cc.policy_reject / cc.policy_promote /
 #: cc.policy_flush) — see docs/OBSERVABILITY.md.
 #: v6: live code update (mc.publish, cc.epoch_observed,
 #: cc.update_barrier) — see docs/UPDATES.md.
-TRACE_SCHEMA_VERSION = 6
+#: v7: one fused-block tier: every fused block binds JIT code at first
+#: dispatch, so the heat-promotion event is gone — see
+#: docs/PERFORMANCE.md.
+TRACE_SCHEMA_VERSION = 7
 
 #: Chrome-trace thread lane per event category.  One process (pid) is
 #: one client; within it each layer of the stack gets its own track.
@@ -60,7 +63,7 @@ CATEGORY_TRACKS: dict[str, int] = {
     "interp": 5,   # superblock interpreter
     "fleet": 6,    # shared-uplink queue / per-client spans
     "fault": 7,    # fault injection (drops, retries, reconnects)
-    "cpu": 8,      # template-JIT tier (codegen/load/promotion)
+    "cpu": 8,      # template JIT (codegen/load)
 }
 
 #: Every event name the stack emits, with the argument keys it carries.
@@ -102,10 +105,9 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     "interp.fuse": ("pc", "fused"),
     "interp.sb_invalidate": ("pc",),
     "interp.flush": (),
-    # template-JIT tier --------------------------------------------------
+    # template JIT -------------------------------------------------------
     "cpu.jit_compile": ("pc", "fused"),
     "cpu.jit_load": ("pc", "fused"),
-    "cpu.jit_promote": ("pc", "count"),
     # fleet ----------------------------------------------------------------
     "fleet.client": ("client", "start_s", "seconds", "translations",
                      "delay_s"),

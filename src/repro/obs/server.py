@@ -30,8 +30,7 @@ Routes::
     GET  /inspect/images       image versions: epoch, digest, diff
                                sizes, client convergence
     POST /admin/flush          drop every unpinned block
-    POST /admin/set            {"prefetch_depth": N, "jit": MODE,
-                                "jit_threshold": N}
+    POST /admin/set            {"prefetch_depth": N, "policy": NAME}
     POST /admin/resize         {"tcache_size": N}  (<= boot geometry)
     POST /admin/publish        {"image": PATH}  (a saved image file;
                                 layout-preserving hot patch)
@@ -43,6 +42,7 @@ immediately; the command still applies at the next miss).
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -232,7 +232,6 @@ class ObsServer:
         build_info = {}
         if system is not None:
             self._snapshot(lambda: system.publish_metrics(registry))
-            build_info["jit"] = system.config.jit
             build_info["granularity"] = system.config.granularity
         if fleet_mc is not None:
             from .metrics import publish_dataclass
@@ -347,10 +346,17 @@ class ObsServer:
             _send_json(handler, 400,
                        {"error": "admin body must be a JSON object"})
             return
-        query = parse_qs(parsed.query)
-        wait_s = float(query.get("wait", ["10"])[0])
+        wait = parse_qs(parsed.query).get("wait", ["10"])[0]
+        try:
+            wait_s = float(wait)
+        except ValueError:
+            wait_s = math.nan
+        if not math.isfinite(wait_s):
+            _send_json(handler, 400, {
+                "error": f"wait must be a number of seconds, got {wait!r}"})
+            return
         cmd = control.post(verb, args)
-        if wait_s > 0 and cmd.done.wait(wait_s):
+        if wait_s > 0 and cmd.done.wait(min(wait_s, threading.TIMEOUT_MAX)):
             if cmd.error is not None:
                 _send_json(handler, 400, {"status": "rejected",
                                           "error": cmd.error})

@@ -9,7 +9,7 @@ region-based memory with executable permissions and code-write hooks
 
 from .costs import DEFAULT_COSTS, CostModel
 from .cpu import CPU, FUSE_LIMIT, HaltExecution, SuperblockStats
-from .jit import JIT_CODEGEN_VERSION, JIT_MODES, JitStats
+from .jit import JIT_CODEGEN_VERSION, JitStats
 from .errors import (
     BreakHit,
     CycleLimitExceeded,
@@ -24,7 +24,7 @@ from .memory import Memory, Region
 __all__ = [
     "BreakHit", "CPU", "CostModel", "CycleLimitExceeded", "DEFAULT_COSTS",
     "FUSE_LIMIT", "FetchFault", "HaltExecution", "IllegalInstruction",
-    "JIT_CODEGEN_VERSION", "JIT_MODES", "JitStats",
+    "JIT_CODEGEN_VERSION", "JitStats",
     "Machine", "MachineConfig", "Memory", "MemoryFault", "Region",
     "SimError", "SuperblockStats", "run_native",
 ]

@@ -16,28 +16,19 @@ entry; the run loop is then ``pc = blocks[pc](pc)``.  Traced runs,
 per-instruction closures, so hook-visible state is exact at those
 boundaries.
 
-A fused block runs at one of two tiers:
-
-* **tier 0** — the tuple of the block's per-instruction closures, run
-  in order by one generic loop: threaded code with no codegen and no
-  ``exec``, so cold code costs only its decode;
-* **JIT** — the template JIT (:mod:`repro.sim.jit`), the only
-  superblock compiler: guest registers as Python locals, constants
-  folded, batched cycle accounting.  Code is compiled per block
-  *shape* — the words with the terminator's target field cleared — and
-  bound per content key with that key's exit target, so the copies of
-  a block that the SoftCache re-patches to other targets share one
-  compile.  Under ``jit="hot"`` (the default) a block's content is
-  compiled once it has executed ``jit_threshold`` times on this CPU;
-  content whose shape already has compiled code in this process binds
-  it at first dispatch.  ``jit="all"`` compiles every fused block at
-  first dispatch and ``jit="off"`` keeps tier 0 only.  Compiled
-  artifacts persist in the trace-cache directory
-  (:mod:`repro.sim.jitcache`) keyed by shape + codegen version, so a
-  warm process binds JIT blocks without running codegen.
-
-All tiers are cycle-identical: tiering only changes host speed, never
-simulated counters.
+Every fused block runs as code from the template JIT
+(:mod:`repro.sim.jit`), bound at the block's first dispatch: guest
+registers as Python locals, constants folded, batched cycle
+accounting.  Code is compiled per block *shape* — the words with the
+terminator's target field cleared — and bound per content key with
+that key's exit target, so the copies of a block that the SoftCache
+re-patches to other targets share one compile.  Compiled artifacts
+persist in the trace-cache directory (:mod:`repro.sim.jitcache`) keyed
+by shape + codegen version, so a warm process binds blocks without
+running codegen.  That leaves two execution paths, both generated from
+the op table: per-instruction dispatch (``superblocks=False``, the
+reference) and the JIT.  They are cycle-identical: fusion only changes
+host speed, never simulated counters.
 
 Writes into executable regions (i.e. dynamic binary rewriting by the
 SoftCache) invalidate the affected decode-cache entries *and every
@@ -83,9 +74,7 @@ from .jit import (
     OPS,
     JitStats,
     OpSem,
-    _DECODE_MEMO,
     _HELPER_FNS,
-    _SB_STORES,
     _SB_STRAIGHT_OPS,
     _SB_TERM_OPS,
     _WIDTHS,
@@ -93,7 +82,6 @@ from .jit import (
     fill,
     jit_codegen,
     split_target,
-    validate_jit,
 )
 from . import jitcache
 from .memory import Memory
@@ -181,8 +169,7 @@ class CPU:
     """A single in-order core executing the repro ISA."""
 
     def __init__(self, memory: Memory, costs: CostModel = DEFAULT_COSTS,
-                 superblocks: bool = True, jit: str = "hot",
-                 jit_threshold: int = 16):
+                 superblocks: bool = True):
         self.mem = memory
         self.costs = costs
         self.regs: list[int] = [0] * 32
@@ -194,13 +181,6 @@ class CPU:
         self.sys_hook: SysHook | None = None
         #: Fuse straight-line code into superblocks in :meth:`run`.
         self.superblocks = superblocks
-        validate_jit(jit, jit_threshold)
-        #: Template-JIT tier policy: "off" keeps every fused block at
-        #: tier 0, "hot" promotes a block's content after
-        #: ``jit_threshold`` executions, "all" JIT-compiles every fused
-        #: block at first dispatch.
-        self.jit = jit
-        self.jit_threshold = jit_threshold
         #: Content tag of the image this CPU executes (live code
         #: update): part of the in-process and persistent JIT cache
         #: keys, so artifacts from one image version can never be
@@ -211,6 +191,8 @@ class CPU:
         self.sb_stats = SuperblockStats()
         #: Flight-recorder hook: ``hook(kind, pc, n)`` with kind one of
         #: "fuse" (superblock fused, n = fused instructions),
+        #: "jit_compile" / "jit_load" (a block's shape was compiled or
+        #: loaded from the store, n = its instructions),
         #: "sb_invalidate" (a code write killed the block at pc) or
         #: "flush" (whole decode/superblock cache dropped).  None keeps
         #: the hot paths hook-free.
@@ -218,8 +200,8 @@ class CPU:
         #: Per-address decode cache: pc -> per-instruction closure.
         self._decoded: dict[int, Callable[[int], int]] = {}
         #: Word -> per-instruction closure.  Closures depend only on
-        #: their word, so every address (and every tier-0 block) holding
-        #: a word shares one closure; never invalidated.
+        #: their word, so every address holding a word shares one
+        #: closure; never invalidated.
         self._word_fns: dict[int, Callable[[int], int]] = {}
         #: Superblock dispatch table: block-start pc -> closure.
         self._blocks: dict[int, Callable[[int], int]] = {}
@@ -234,21 +216,13 @@ class CPU:
         self._code_gen = [0]
         #: Precise pc of a fault raised from inside a fused block.
         self._fault_pc: int | None = None
-        #: Content-keyed tier-0 block cache: raw word tuple -> block
-        #: function.  Tier-0 blocks are pc-relative (their closures
-        #: depend only on the words) and bind only per-CPU state, so
-        #: identical word runs reuse one block across
-        #: evict/flush/retranslate cycles.
-        self._sb_fn_cache: dict[tuple[int, ...], Callable[[int], int]] = {}
         #: Reusable ``exec`` namespace for JIT binding (built lazily;
         #: generated code captures everything through default
         #: arguments, so one dict serves every bind).
         self._sb_exec_ns: dict | None = None
-        #: Content key -> shared hotness cell ([execution count]); one
-        #: cell per distinct word run, so retranslated copies of the
-        #: same code pool their heat (jit="hot" tier selection).
-        self._sb_counts: dict[tuple[int, ...], list[int]] = {}
-        #: Content key -> bound JIT-tier function for this CPU.
+        #: Content key -> bound JIT function for this CPU: identical
+        #: word runs reuse one binding across evict/flush/retranslate
+        #: cycles.
         self._sb_jit_fns: dict[tuple[int, ...], Callable[[int], int]] = {}
         #: Block-start pc -> content key of the block registered there
         #: (introspection).
@@ -413,10 +387,8 @@ class CPU:
         straight-line run just end the block early; the offending word
         raises with exact pc/stats when (and only when) it is reached.
 
-        The block binds this CPU's JIT function for its content, else
-        its tier-0 block; new content binds compiled code at once under
-        ``jit="all"``, or under ``jit="hot"`` when this process already
-        compiled its shape (:func:`~repro.sim.jit.split_target`).
+        The block binds this CPU's JIT function for its content
+        (:meth:`_jit_for_key`).
         """
         region = self.mem.region_at(pc)  # raises MemoryFault if unmapped
         if pc & 3 or not region.executable:
@@ -459,76 +431,12 @@ class CPU:
         if fused < 2:
             return self._register_block(pc, pc + 4, self._decode_at(pc), 0)
         key = tuple(words)
-        mode = self.jit
-        fn = self._sb_jit_fns.get(key) if mode != "off" else None
-        if fn is None:
-            fn = self._sb_fn_cache.get(key)
-        if fn is None:
-            if mode == "all" or (mode == "hot" and (
-                    self._sb_cost_tag, self.image_tag, split_target(key)[0])
-                    in _SB_JIT_COMPILED):
-                fn = self._jit_for_key(key, pc)
-            else:
-                fn = self._sb_fn_cache[key] = self._tier0(key, pc)
+        fn = self._jit_for_key(key, pc)
         self._block_key[pc] = key
         return self._register_block(
             pc, addr + 4 if has_term else addr, fn, fused)
 
-    # -- tier 0 and the template-JIT tier ---------------------------------
-
-    def _tier0(self, key: tuple[int, ...], pc: int) -> Callable[[int], int]:
-        """Bind the tier-0 block for *key*: its per-instruction closures
-        run in order by one loop.  Each closure counts itself, so counts
-        stay exact mid-block; an exception records the raising word's
-        pc in ``_fault_pc``.  A block holding a store re-checks the code
-        generation after each word and returns the next pc once a store
-        rewrote code.  Under ``jit="hot"`` it first counts its content's
-        heat (shared by every pc holding the words) and at
-        ``jit_threshold`` hands over to :meth:`_promote`."""
-        get = self._word_fns.get
-        fns = tuple([get(word) or self._closure(word, pc) for word in key])
-        guard = any(_DECODE_MEMO[word].op in _SB_STORES for word in key)
-        cell = (self._sb_counts.setdefault(key, [0])
-                if self.jit == "hot" else None)
-        threshold = self.jit_threshold
-        code_gen = self._code_gen
-        promote = self._promote
-
-        def block(pc: int) -> int:
-            if cell is not None:
-                n = cell[0] + 1
-                cell[0] = n
-                if n >= threshold:
-                    return promote(key, pc, n)(pc)
-            try:
-                if guard:
-                    gen = code_gen[0]
-                    for fn in fns:
-                        pc = fn(pc)
-                        if code_gen[0] != gen:
-                            break
-                else:
-                    for fn in fns:
-                        pc = fn(pc)
-            except Exception:
-                self._fault_pc = pc
-                raise
-            return pc
-        return block
-
-    def _promote(self, key: tuple[int, ...], pc: int, n: int
-                 ) -> Callable[[int], int]:
-        """Tier 0 -> JIT once *key*'s heat *n* reached the threshold:
-        bind the JIT function (one promotion per key) and swap only the
-        dispatching *pc*; other pcs swap at their own next dispatch."""
-        jfn = self._sb_jit_fns.get(key)
-        if jfn is None:
-            jfn = self._jit_for_key(key, pc)
-            self.jit_stats.jit_promotions += 1
-            if self.trace_hook is not None:
-                self.trace_hook("jit_promote", pc, n)
-        self._blocks[pc] = jfn
-        return jfn
+    # -- the template-JIT binding -----------------------------------------
 
     def _insns_for_key(self, key: tuple[int, ...]):
         """Re-derive the relative ``(offset, Insn)`` list (and optional
@@ -547,7 +455,7 @@ class CPU:
 
     def _jit_for_key(self, key: tuple[int, ...], pc: int
                      ) -> Callable[[int], int]:
-        """Bind the JIT-tier function for a content key: per-CPU cache,
+        """Bind the JIT function for a content key: per-CPU cache,
         else the code compiled for the key's shape — from the
         in-process compiled cache, then the persistent artifact store,
         then (cold) codegen + store — bound with the key's own exit
@@ -586,23 +494,13 @@ class CPU:
             self.trace_hook(kind, pc, len(key))
         return jfn
 
-    def _tier_of(self, start: int, key: tuple[int, ...] | None) -> str:
-        """Tier of the dispatch entry at *start*: "single" (one
-        per-instruction closure), "jit" or "tier0"."""
-        if key is None:
-            return "single"
-        jfn = self._sb_jit_fns.get(key)
-        if jfn is not None and self._blocks.get(start) is jfn:
-            return "jit"
-        return "tier0"
-
     def superblock_info(self, pc: int) -> list[dict]:
         """Describe every live block whose span covers *pc* (for
-        ``repro debug --dump-superblock``): start/end, tier
-        ("jit"/"tier0"/"single"), instruction count, hotness count
-        (None when untracked, e.g. jit="all"), the exit ``target``
-        (see :func:`_exit_target`) and, for JIT blocks, the generated
-        source (None otherwise: tier 0 generates none)."""
+        ``repro debug --dump-superblock``): start/end, tier ("jit" for
+        a fused block, "single" for one per-instruction closure),
+        instruction count, the exit ``target`` (see
+        :func:`_exit_target`) and, for fused blocks, the words and the
+        generated source."""
         span_get = self._block_span.get
         starts = sorted(
             s for s in self._block_cover.get(pc >> _COVER_SHIFT, ())
@@ -611,21 +509,17 @@ class CPU:
         for start in starts:
             end = self._block_span.get(start, start + 4)
             key = self._block_key.get(start)
-            tier = self._tier_of(start, key)
             if key is None:
-                out.append({"start": start, "end": end, "tier": tier,
+                out.append({"start": start, "end": end, "tier": "single",
                             "instructions": (end - start) // 4,
-                            "hits": None, "target": None, "source": None,
+                            "target": None, "source": None,
                             "words": None})
                 continue
-            cached = (_SB_JIT_COMPILED.get(
+            cached = _SB_JIT_COMPILED.get(
                 (self._sb_cost_tag, self.image_tag, split_target(key)[0]))
-                if tier == "jit" else None)
-            cell = self._sb_counts.get(key)
             out.append({
-                "start": start, "end": end, "tier": tier,
+                "start": start, "end": end, "tier": "jit",
                 "instructions": len(key),
-                "hits": cell[0] if cell is not None else None,
                 "target": _exit_target(start, key),
                 "source": cached[2] if cached is not None else None,
                 "words": list(key),
@@ -633,44 +527,28 @@ class CPU:
         return out
 
     def superblock_census(self, top: int = 10) -> dict:
-        """Tier counts + hottest blocks over every live superblock.
+        """Tier counts + longest blocks over every live dispatch entry.
 
         The ops plane's ``/inspect/superblocks`` snapshot: how many
-        live blocks run at each interpreter tier
-        ("jit"/"tier0"/"single"), the JIT policy knobs, and the
-        *top* hottest tracked blocks by hotness-cell count.  Read-only
-        over the dispatch tables; hotness cells are None when
-        untracked (``jit="all"`` compiles eagerly and ``jit="off"``
-        never promotes, so neither keeps counts).
+        live entries are fused JIT blocks ("jit") and how many single
+        per-instruction closures ("single"), the codegen count, and
+        the *top* longest fused blocks by instruction count (ties by
+        start address).  Read-only over the dispatch tables.
         """
-        tiers = {"jit": 0, "tier0": 0, "single": 0}
-        entries: list[tuple[int, int, str, int, int | None,
-                            tuple[int, ...]]] = []
         key_get = self._block_key.get
         span_get = self._block_span.get
-        count_get = self._sb_counts.get
-        for start in list(self._blocks):
-            key = key_get(start)
-            tier = self._tier_of(start, key)
-            tiers[tier] += 1
-            if key is None:
-                continue
-            cell = count_get(key)
-            entries.append((start, span_get(start, start + 4), tier,
-                            len(key), cell[0] if cell else None, key))
-        entries.sort(key=lambda e: -1 if e[4] is None else e[4],
-                     reverse=True)
+        starts = list(self._blocks)
+        fused = [(start, key_get(start)) for start in starts]
+        fused = [entry for entry in fused if entry[1] is not None]
+        fused.sort(key=lambda e: (-len(e[1]), e[0]))
         return {
-            "blocks": sum(tiers.values()),
-            "tiers": tiers,
-            "jit_mode": self.jit,
-            "jit_threshold": self.jit_threshold,
+            "blocks": len(starts),
+            "tiers": {"jit": len(fused), "single": len(starts) - len(fused)},
             "jit_codegen": self.jit_stats.jit_codegen,
-            "jit_promotions": self.jit_stats.jit_promotions,
-            "hottest": [
-                {"start": s, "end": e, "tier": t, "instructions": n,
-                 "hits": h, "target": _exit_target(s, k)}
-                for s, e, t, n, h, k in entries[:top]],
+            "longest": [
+                {"start": s, "end": span_get(s, s + 4),
+                 "instructions": len(k), "target": _exit_target(s, k)}
+                for s, k in fused[:top]],
         }
 
     # -- execution ---------------------------------------------------------

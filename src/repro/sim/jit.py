@@ -8,19 +8,18 @@ stores, the access width and signedness (from
 :class:`~repro.isa.InsnSpec`).  The template below and the
 per-instruction closures of :mod:`repro.sim.cpu` are both generated
 from it, as are the fuser's opcode classes, the live-in pre-scan and
-constant folding, so the tiers cannot disagree about what an opcode
-does.
+constant folding, so the two execution paths cannot disagree about what
+an opcode does.
 
-The template is the interpreter's only superblock compiler.  Cold fused
-blocks run at tier 0 (:meth:`repro.sim.cpu.CPU._tier0`: the block's
-per-instruction closures called in turn, each reading and writing the
-shared ``r[...]`` list); once a block's content is hot, the JIT
-template compiles it with every guest register the block touches
-promoted into a **Python local variable**: registers read before being
-written are loaded once in a prologue, intermediate values flow
-local-to-local, and modified registers are spilled back to ``r[...]``
-only at the block's exits (terminator, fall-through, the
-self-modification side exit after a store, and the fault fix-up path).
+The template is the interpreter's only superblock compiler: every
+fused block binds its code at first dispatch
+(:meth:`repro.sim.cpu.CPU._jit_for_key`).  It compiles a block with
+every guest register the block touches promoted into a **Python local
+variable**: registers read before being written are loaded once in a
+prologue, intermediate values flow local-to-local, and modified
+registers are spilled back to ``r[...]`` only at the block's exits
+(terminator, fall-through, the self-modification side exit after a
+store, and the fault fix-up path).
 Constants are folded at generation time — ``LUI`` seeds a known
 constant, and any ALU op whose sources are all known constants is
 evaluated during codegen by ``eval``-ing the *same expression text*
@@ -82,25 +81,6 @@ _S = "2147483648"       # sign-flip literal
 #: reads its target from the bound ``T`` argument instead of a literal
 #: (v2 artifacts bake the target in and must never bind).
 JIT_CODEGEN_VERSION = 3
-
-#: Valid values of the ``jit`` knob (MachineConfig / SoftCacheConfig).
-JIT_MODES = ("off", "hot", "all")
-
-
-def validate_jit(jit, jit_threshold) -> None:
-    """Raise :class:`ValueError` naming the field unless *jit* is one of
-    :data:`JIT_MODES` and *jit_threshold* is an integer >= 1.
-
-    The one check behind both configs, :class:`~repro.sim.cpu.CPU` and
-    the ops plane's ``admin set``, so a bad setting fails where it is
-    given instead of at the first CPU built from it.
-    """
-    if jit not in JIT_MODES:
-        raise ValueError(f"jit must be one of {JIT_MODES}, got {jit!r}")
-    if not isinstance(jit_threshold, int) or jit_threshold < 1:
-        raise ValueError(
-            f"jit_threshold must be an integer >= 1, got {jit_threshold!r}")
-
 
 def _sdiv(a: int, b: int) -> int:
     if b == 0:
@@ -266,21 +246,17 @@ def _reg(ins, role: str) -> int:
 
 @dataclass
 class JitStats:
-    """Counters for the template-JIT tier (published as ``cpu.jit_*``).
+    """Counters for the template JIT (published as ``cpu.jit_*``).
 
     The warm-run contract lives here: a process that finds every
     artifact in the persistent store ends a run with
     ``jit_codegen == 0`` and ``jit_disk_hits > 0``.
     """
 
-    #: JIT-tier block functions bound for this CPU (per content key).
+    #: JIT block functions bound for this CPU (per content key).
     jit_blocks: int = 0
     #: Instructions covered by those blocks.
     jit_instructions: int = 0
-    #: Content keys promoted tier 0 -> JIT by heat (once per key; a
-    #: key bound from already-compiled code at first dispatch is not a
-    #: promotion).
-    jit_promotions: int = 0
     #: Source generations actually executed (cold compiles).
     jit_codegen: int = 0
     #: Artifacts reused from the in-process compiled cache.

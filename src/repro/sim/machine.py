@@ -25,7 +25,6 @@ from ..layout import (
 from .costs import DEFAULT_COSTS, CostModel
 from .cpu import CPU, HaltExecution
 from .errors import SimError
-from .jit import validate_jit
 from .memory import Memory, Region
 
 
@@ -45,16 +44,6 @@ class MachineConfig:
     #: Fuse straight-line code into superblocks (host-side speed only;
     #: simulated instruction/cycle counts are identical either way).
     superblocks: bool = True
-    #: Template-JIT tier: "off" (tier 0 only), "hot" (promote after
-    #: jit_threshold executions) or "all" (compile every fused block
-    #: eagerly).  Like superblocks, host speed only — cycle-identical
-    #: by construction.
-    jit: str = "hot"
-    #: Executions of a superblock's content before JIT promotion.
-    jit_threshold: int = 16
-
-    def __post_init__(self):
-        validate_jit(self.jit, self.jit_threshold)
 
 
 class Machine:
@@ -68,9 +57,7 @@ class Machine:
         self.mem = Memory()
         self._build_memory()
         self.cpu = CPU(self.mem, self.config.costs,
-                       superblocks=self.config.superblocks,
-                       jit=self.config.jit,
-                       jit_threshold=self.config.jit_threshold)
+                       superblocks=self.config.superblocks)
         self.cpu.pc = image.entry
         self.output = bytearray()
         #: Hook invoked by the INVALIDATE syscall: ``fn(addr, length)``.

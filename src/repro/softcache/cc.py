@@ -26,6 +26,7 @@ time-shaped results (Figures 5 and 8) fall out of `cpu.cycles`.
 
 from __future__ import annotations
 
+import inspect
 import sys
 from time import perf_counter
 
@@ -34,7 +35,6 @@ from ..isa.registers import FP, RA
 from ..layout import FP_SENTINEL
 from ..net import Channel
 from ..net.faults import LinkDown
-from ..sim.jit import validate_jit
 from ..sim.machine import Machine
 from .mc import MemoryController
 from .chunks import Chunk, ExitKind
@@ -821,22 +821,27 @@ class BaseCacheController:
             self.stats.admin_commands += 1
             try:
                 result = self._admin_dispatch(cmd.verb, cmd.args)
-            except (ValueError, TCacheFull, SoftCacheError) as exc:
+            except (ValueError, TypeError, TCacheFull,
+                    SoftCacheError) as exc:
                 cmd.fail(str(exc))
             else:
                 ctl.applied += 1
                 cmd.complete(result)
 
     def _admin_dispatch(self, verb: str, args: dict) -> dict:
-        if verb == "flush":
-            return self.admin_flush()
-        if verb == "set":
-            return self.admin_set(**args)
-        if verb == "resize":
-            return self.admin_resize(**args)
-        if verb == "publish":
-            return self.admin_publish(**args)
-        raise ValueError(f"unknown admin verb {verb!r}")
+        """Apply one verb; a field the verb does not take is a command
+        error naming the field, like a bad value."""
+        handler = {"flush": self.admin_flush, "set": self.admin_set,
+                   "resize": self.admin_resize,
+                   "publish": self.admin_publish}.get(verb)
+        if handler is None:
+            raise ValueError(f"unknown admin verb {verb!r}")
+        fields = inspect.signature(handler).parameters
+        unknown = [name for name in args if name not in fields]
+        if unknown:
+            raise ValueError(f"admin {verb}: unknown field "
+                             f"{', '.join(map(repr, unknown))}")
+        return handler(**args)
 
     def admin_flush(self) -> dict:
         """casadm-style ``flush``: drop every unpinned block now."""
@@ -845,15 +850,11 @@ class BaseCacheController:
         return {"verb": "flush", "blocks_dropped": dropped}
 
     def admin_set(self, *, prefetch_depth: int | None = None,
-                  jit: str | None = None,
-                  jit_threshold: int | None = None,
                   policy: str | None = None) -> dict:
         """Retune the runtime knobs that are safe to flip mid-run.
 
         ``prefetch_depth`` shapes the *next* miss exchange (the check
-        site runs before the serve path reads it); ``jit`` /
-        ``jit_threshold`` steer the host-speed-only interpreter tier
-        and can never change simulated counts; ``policy`` swaps the
+        site runs before the serve path reads it); ``policy`` swaps the
         replacement policy (fresh metadata — a mid-run ``trrip`` has
         no temperature map and degrades to neutral seeding).
         """
@@ -867,16 +868,6 @@ class BaseCacheController:
                 raise ValueError("prefetch_depth must be >= 0")
             self.prefetch_depth = depth
             applied["prefetch_depth"] = depth
-        if jit is not None or jit_threshold is not None:
-            cpu = self.cpu
-            mode = cpu.jit if jit is None else jit
-            threshold = (cpu.jit_threshold if jit_threshold is None
-                         else jit_threshold)
-            validate_jit(mode, threshold)
-            if jit is not None:
-                cpu.jit = applied["jit"] = mode
-            if jit_threshold is not None:
-                cpu.jit_threshold = applied["jit_threshold"] = threshold
         if len(applied) == 1:
             raise ValueError("admin set: no knob given")
         return applied

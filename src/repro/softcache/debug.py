@@ -355,11 +355,10 @@ def dump_tcache(cc: BaseCacheController) -> str:
 
 def dump_superblock(cpu, pc: int) -> str:
     """Human-readable report on the superblock(s) covering *pc*: span,
-    tier (jit / tier0 / single), execution count where tracked, the
-    guest disassembly and — for JIT blocks — the generated Python
-    source actually dispatched (``repro debug --dump-superblock``),
-    headed by the exit address its ``T`` argument is bound to.  Tier 0
-    generates no source, so its entries show only the guest code."""
+    tier (jit / single), the guest disassembly and — for fused blocks —
+    the generated Python source actually dispatched (``repro debug
+    --dump-superblock``), headed by the exit address its ``T`` argument
+    is bound to."""
     infos = cpu.superblock_info(pc)
     if not infos:
         return (f"no live superblock covers pc {pc:#x} "
@@ -368,9 +367,7 @@ def dump_superblock(cpu, pc: int) -> str:
     for info in infos:
         lines.append(f"superblock @{info['start']:#x}..{info['end']:#x} "
                      f"tier={info['tier']} "
-                     f"instructions={info['instructions']}"
-                     + (f" hits={info['hits']}"
-                        if info['hits'] is not None else ""))
+                     f"instructions={info['instructions']}")
         words = info.get("words")
         if words:
             lines.append("  guest code:")

@@ -17,7 +17,6 @@ from ..isa import Op, decode
 from ..layout import LOCAL_BASE, align
 from ..net import Channel, LinkModel
 from ..sim.costs import DEFAULT_COSTS, CostModel
-from ..sim.jit import validate_jit
 from ..sim.machine import Machine, MachineConfig
 from .cc import BlockCacheController, ProcCacheController
 from .mc import MemoryController
@@ -66,14 +65,9 @@ class SoftCacheConfig:
     #: Enable the Section-3 software data cache (full-system mode).
     #: A :class:`repro.dcache.DataCacheConfig` or None.
     data_cache: object | None = None
-    #: Superblock (threaded-code) execution in the interpreter.  Host
-    #: speed only; never changes simulated counts.
+    #: Fuse straight-line code into JIT-compiled superblocks in the
+    #: interpreter.  Host speed only; never changes simulated counts.
     superblocks: bool = True
-    #: Template-JIT tier policy ("off" = tier 0 only | "hot" | "all")
-    #: and the hotness threshold for "hot".  Host speed only;
-    #: cycle-identical.
-    jit: str = "hot"
-    jit_threshold: int = 16
     #: Flight recorder (:class:`repro.obs.FlightRecorder`) to thread
     #: through every layer, or None (the default: hot paths stay
     #: tracer-free).  Tracing never charges simulated cycles, so an
@@ -100,7 +94,6 @@ class SoftCacheConfig:
         # fail at config time, not at first miss or first CPU
         if not isinstance(self.policy, ReplacementPolicy):
             validate_policy_name(self.policy)
-        validate_jit(self.jit, self.jit_threshold)
 
 
 @dataclass
@@ -139,8 +132,6 @@ class SoftCacheSystem:
             heap_size=config.heap_size,
             costs=config.costs,
             superblocks=config.superblocks,
-            jit=config.jit,
-            jit_threshold=config.jit_threshold,
         ))
         if shared_mc is not None:
             knows = getattr(shared_mc, "knows_image", None)
@@ -174,8 +165,6 @@ class SoftCacheSystem:
                     trc.emit("cpu.jit_compile", "cpu", pc=pc, fused=n)
                 elif kind == "jit_load":
                     trc.emit("cpu.jit_load", "cpu", pc=pc, fused=n)
-                elif kind == "jit_promote":
-                    trc.emit("cpu.jit_promote", "cpu", pc=pc, count=n)
                 else:
                     trc.emit("interp.flush", "interp")
 

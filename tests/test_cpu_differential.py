@@ -4,12 +4,12 @@ model.
 Hypothesis draws random straight-line programs — ALU ops, loads and
 stores of every width, writes to ``zero`` — ending in a random control
 transfer, or in none.  Each program runs under per-instruction
-dispatch, tier 0 and the JIT, and the registers, both data windows,
-the exit pc and the instruction count are compared with a golden model
-written directly from the ISA spec (docs/ISA.md) that shares no code
-with the simulator.  Both tiers are generated from one op table, so
-comparing the tiers with each other cannot catch a wrong table entry;
-this model can.  Any divergence in wrapping, sign or zero extension,
+dispatch and the JIT, and the registers, both data windows, the exit
+pc and the instruction count are compared with a golden model written
+directly from the ISA spec (docs/ISA.md) that shares no code with the
+simulator.  Both paths are generated from one op table, so comparing
+them with each other cannot catch a wrong table entry; this model
+can.  Any divergence in wrapping, sign or zero extension,
 shift masking, division conventions, branch conditions, exit targets
 or link registers shows up here.
 
@@ -62,8 +62,7 @@ _WINDOWS = {_STACK_BASE: STACK_TOP - 0x100,
 
 _MODES = {
     "per_insn": MachineConfig(superblocks=False),
-    "tier0": MachineConfig(jit="off"),
-    "jit_all": MachineConfig(jit="all"),
+    "jit": MachineConfig(),
 }
 
 _IMAGE = assemble_and_link("""

@@ -1,16 +1,15 @@
-"""Template-JIT tier: equivalence, invalidation, promotion, persistence.
+"""Template JIT: equivalence, invalidation, shape sharing, persistence.
 
-The JIT tier compiles fused superblocks to specialized Python source
-(registers as locals, constants folded, batched cycle accounting).
-Like tier 0 (threaded per-instruction closures) it must be
-architecturally invisible — identical registers, output, instruction
-and cycle counts to per-instruction dispatch — including under dynamic
-rewriting: a patch overlapping a JIT'd block must drop it exactly like
-a tier-0 block.  It is the only superblock compiler, and it runs only
-for content that crossed the hotness threshold, once per block shape:
-copies of a block whose exit targets differ share the compiled code.
-Compiled artifacts persist in the trace cache, so a warm process binds
-blocks with zero codegen.
+The JIT compiles every fused superblock to specialized Python source
+(registers as locals, constants folded, batched cycle accounting) and
+binds it at the block's first dispatch.  It must be architecturally
+invisible — identical registers, output, instruction and cycle counts
+to per-instruction dispatch — including under dynamic rewriting: a
+patch overlapping a JIT'd block must drop it.  It is the only
+superblock compiler and runs once per block shape: copies of a block
+whose exit targets differ share the compiled code.  Compiled artifacts
+persist in the trace cache, so a warm process binds blocks with zero
+codegen.
 """
 
 import contextlib
@@ -29,12 +28,10 @@ from repro.asm import assemble_and_link
 from repro.isa import Insn, Op, encode, patch_branch_disp
 from repro.isa.encoding import TARGET26_MAX
 from repro.sim import (
-    CPU,
     CycleLimitExceeded,
     JIT_CODEGEN_VERSION,
     Machine,
     MachineConfig,
-    Memory,
     MemoryFault,
 )
 from repro.sim import cpu as cpu_mod
@@ -76,10 +73,7 @@ _IMAGE = assemble_and_link(LOOP_SRC, "loop")
 #: Configs whose architectural results must be indistinguishable.
 _MODES = {
     "per_insn": MachineConfig(superblocks=False),
-    "tier0": MachineConfig(superblocks=True, jit="off"),
-    "jit_hot": MachineConfig(superblocks=True, jit="hot",
-                             jit_threshold=2),
-    "jit_all": MachineConfig(superblocks=True, jit="all"),
+    "jit": MachineConfig(superblocks=True),
 }
 
 
@@ -90,25 +84,22 @@ def _run_mode(image, config):
             machine.output_text, list(machine.cpu.regs)), machine
 
 
-# -- cycle-identity across tiers --------------------------------------
+# -- cycle-identity with per-instruction dispatch ---------------------
 
 
-@pytest.mark.parametrize("mode", ["tier0", "jit_hot", "jit_all"])
-def test_jit_equivalent_on_loop(mode):
+def test_jit_equivalent_on_loop():
     want, _ = _run_mode(_IMAGE, _MODES["per_insn"])
-    got, machine = _run_mode(_IMAGE, _MODES[mode])
+    got, machine = _run_mode(_IMAGE, _MODES["jit"])
     assert got == want
-    if mode != "tier0":
-        assert machine.cpu.jit_stats.jit_blocks > 0
+    assert machine.cpu.jit_stats.jit_blocks > 0
 
 
 def test_jit_equivalent_on_workload():
     image = build_workload("sensor", 0.02)
     want, _ = _run_mode(image, _MODES["per_insn"])
-    for mode in ("tier0", "jit_hot", "jit_all"):
-        got, machine = _run_mode(image, _MODES[mode])
-        assert got == want, mode
-    js = machine.cpu.jit_stats  # jit_all: everything fused is JIT'd
+    got, machine = _run_mode(image, _MODES["jit"])
+    assert got == want
+    js = machine.cpu.jit_stats  # everything fused is JIT'd
     assert js.jit_blocks > 0
     assert js.jit_instructions > 0
 
@@ -116,9 +107,9 @@ def test_jit_equivalent_on_workload():
 def test_softcache_jit_equivalent():
     image = build_workload("sensor", 0.02)
     reports = []
-    for jit in ("all", "off"):
+    for superblocks in (True, False):
         system = SoftCacheSystem(image, SoftCacheConfig(
-            tcache_size=768, debug_poison=True, jit=jit))
+            tcache_size=768, debug_poison=True, superblocks=superblocks))
         report = system.run()
         reports.append((report.exit_code, report.instructions,
                         report.cycles, report.output))
@@ -147,8 +138,7 @@ WARM = _probe_warm_count()
 
 def _warm_jit_machine() -> Machine:
     """Warm two loop trips so both overlapping blocks are JIT'd."""
-    machine = Machine(_IMAGE, MachineConfig(superblocks=True,
-                                            jit="all"))
+    machine = Machine(_IMAGE, _MODES["jit"])
     loop = _IMAGE.symbols["loop"]
     with pytest.raises(CycleLimitExceeded):
         machine.cpu.run(max_instructions=WARM)
@@ -209,8 +199,7 @@ def test_store_inside_jit_block_takes_effect():
     """
     image = assemble_and_link(src)
     results = []
-    for config in (MachineConfig(superblocks=True, jit="all"),
-                   MachineConfig(superblocks=False)):
+    for config in (_MODES["jit"], _MODES["per_insn"]):
         machine = Machine(image, config)
         machine.run()
         results.append((machine.cpu.icount, machine.cpu.cycles,
@@ -218,7 +207,7 @@ def test_store_inside_jit_block_takes_effect():
     assert results[0] == results[1]
 
 
-# -- hypothesis property: per-instruction ≡ tier 0 ≡ JIT --------------
+# -- hypothesis property: per-instruction ≡ JIT -----------------------
 
 _REGS = list(range(8, 24))
 
@@ -302,8 +291,7 @@ def _run_random(instructions, seeds, config):
 def test_jit_differential_random_programs(program):
     instructions, seeds = program
     ref = _run_random(instructions, seeds, _MODES["per_insn"])
-    assert _run_random(instructions, seeds, _MODES["tier0"]) == ref
-    assert _run_random(instructions, seeds, _MODES["jit_all"]) == ref
+    assert _run_random(instructions, seeds, _MODES["jit"]) == ref
 
 
 # -- shape keying: copies that differ only in their exit target -------
@@ -406,8 +394,7 @@ def test_target_variants_share_code_and_stay_exact(variant):
         for term, site in zip(terms, sites):
             words = [encode(ins) for ins in body + [term]]
             ref, _ = _run_placed(words, site, seeds, _MODES["per_insn"])
-            got, machine = _run_placed(words, site, seeds,
-                                       _MODES["jit_all"])
+            got, machine = _run_placed(words, site, seeds, _MODES["jit"])
             assert got == ref
             assert machine.cpu.jit_stats.jit_blocks == 1
             codegen += machine.cpu.jit_stats.jit_codegen
@@ -416,13 +403,11 @@ def test_target_variants_share_code_and_stay_exact(variant):
             f"{jitcache.ARTIFACT_PREFIX}*.sbc"))) == 1
 
 
-@pytest.mark.parametrize("jit", ["all", "hot"])
-def test_repatched_terminator_rebinds_without_codegen(jit):
+def test_repatched_terminator_rebinds_without_codegen():
     """Retargeting a warm JIT block's exit branch the way the cache
     controller backpatches it rebinds the block's compiled shape with
-    the new target — no codegen, no tier-0 detour under ``jit="hot"``
-    — and the run still matches per-instruction execution."""
-    config = MachineConfig(superblocks=True, jit=jit, jit_threshold=1)
+    the new target — no codegen — and the run still matches
+    per-instruction execution."""
     loop = _IMAGE.symbols["loop"]
     site = loop + 4 * (BODY_LEN - 1)
     target = loop + 4
@@ -433,15 +418,13 @@ def test_repatched_terminator_rebinds_without_codegen(jit):
         word = machine.mem.read_word(site)
         machine.mem.write_word(site, patch_branch_disp(word, site, target))
 
-    machine = Machine(_IMAGE, config)
+    machine = Machine(_IMAGE, _MODES["jit"])
     warm_and_patch(machine)
     js = machine.cpu.jit_stats
-    codegen, promotions, blocks = (js.jit_codegen, js.jit_promotions,
-                                   js.jit_blocks)
+    codegen, blocks = js.jit_codegen, js.jit_blocks
     with pytest.raises(CycleLimitExceeded):
         machine.cpu.run(max_instructions=WARM + BODY_LEN)
-    assert (js.jit_codegen, js.jit_promotions, js.jit_blocks) == \
-        (codegen, promotions, blocks + 1)
+    assert (js.jit_codegen, js.jit_blocks) == (codegen, blocks + 1)
     [info] = machine.cpu.superblock_info(loop)
     assert (info["tier"], info["target"]) == ("jit", target)
 
@@ -450,37 +433,7 @@ def test_repatched_terminator_rebinds_without_codegen(jit):
     assert _finish(machine) == _finish(ref)
 
 
-# -- tier 0 -> JIT promotion ------------------------------------------
-
-# ``twin_a`` and ``twin_b`` hold the same words (the ret is
-# pc-independent), so both pcs share one content key and its heat.
-TWIN_SRC = """
-    .global main
-    .global twin_a
-    .global twin_b
-main:
-    mv   s2, ra
-    li   s0, 6
-    li   s1, 0
-outer:
-    jal  twin_a
-    jal  twin_b
-    subi s0, s0, 1
-    bne  s0, zero, outer
-    mv   a0, s1
-    syscall putint
-    mv   ra, s2
-    li   a0, 0
-    ret
-twin_a:
-    addi s1, s1, 3
-    xori s1, s1, 5
-    ret
-twin_b:
-    addi s1, s1, 3
-    xori s1, s1, 5
-    ret
-"""
+# -- compiled code is shared across CPUs ------------------------------
 
 
 @pytest.fixture
@@ -490,51 +443,19 @@ def fresh_jit_cache(monkeypatch, artifact_dir):
     monkeypatch.setattr(cpu_mod, "_SB_JIT_COMPILED", {})
 
 
-def test_twin_pcs_share_one_promotion(fresh_jit_cache):
-    """Two pcs holding the same words pool their heat; the key is
-    promoted once, at the pc dispatching when the heat crosses the
-    threshold, and the other pc swaps to the same JIT function at its
-    own next dispatch."""
-    image = assemble_and_link(TWIN_SRC, "twins")
-    twins = (image.symbols["twin_a"], image.symbols["twin_b"])
-    machine = Machine(image, MachineConfig(jit="hot", jit_threshold=4))
-    promotions: list[tuple[int, int]] = []
-
-    def hook(kind, pc, n):
-        if kind == "jit_promote":
-            promotions.append((pc, n))
-
-    machine.cpu.trace_hook = hook
-    got = (machine.run(), machine.cpu.icount, machine.cpu.cycles,
-           machine.output_text)
-    ref = Machine(image, MachineConfig(superblocks=False))
-    assert got == (ref.run(), ref.cpu.icount, ref.cpu.cycles,
-                   ref.output_text)
-
-    # heat 1, 2, 3 alternate a/b/a; the 4th execution is twin_b's
-    assert [p for p in promotions if p[0] in twins] == [(twins[1], 4)]
-    infos = [machine.cpu.superblock_info(pc) for pc in twins]
-    assert [[i["tier"] for i in info] for info in infos] == \
-        [["jit"], ["jit"]]
-    assert infos[0][0]["words"] == infos[1][0]["words"]
-    js = machine.cpu.jit_stats
-    assert js.jit_promotions == js.jit_blocks == len(promotions)
-
-
 def test_second_machine_binds_compiled_code_at_first_dispatch(
         fresh_jit_cache):
     """Content compiled in this process binds at first dispatch on a
-    new CPU: no codegen, no heat counting, no promotions."""
+    new CPU with no codegen."""
     image = build_workload("sensor", 0.02)
-    first = Machine(image, MachineConfig(jit="hot"))
+    first = Machine(image)
     first.run()
     assert first.cpu.jit_stats.jit_codegen > 0
-    second = Machine(image, MachineConfig(jit="hot"))
+    second = Machine(image)
     second.run()
     js = second.cpu.jit_stats
     assert js.jit_mem_hits > 0
     assert js.jit_codegen == 0
-    assert js.jit_promotions == 0
     assert js.jit_blocks == first.cpu.jit_stats.jit_blocks
     assert (second.cpu.icount, second.cpu.cycles, second.output) == \
         (first.cpu.icount, first.cpu.cycles, first.output)
@@ -561,20 +482,20 @@ try:
     exit_code = system.run().exit_code
 finally:
     builtins.compile, builtins.exec = real["compile"], real["exec"]
+from repro.sim import cpu
 js = system.machine.cpu.jit_stats
 print(json.dumps({"calls": calls, "exit": exit_code,
                   "codegen": js.jit_codegen,
-                  "promotions": js.jit_promotions,
+                  "shapes": len(cpu._SB_JIT_COMPILED),
                   "jit_blocks": js.jit_blocks}))
 """
 
 
 def test_jit_is_the_only_compiler(tmp_path):
     """A cold thrashing run compiles only through the template JIT,
-    at most once per codegen and only for promoted content — cold
-    blocks never reach ``compile()`` — and every ``exec`` is the bind
-    of one JIT block (re-patched copies of a compiled shape bind at
-    first dispatch)."""
+    at most once per codegen and exactly once per block shape, and
+    every ``exec`` is the bind of one JIT block (re-patched copies of a
+    compiled shape bind without codegen)."""
     src_dir = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, REPRO_TRACE_CACHE=str(tmp_path),
                PYTHONPATH=str(src_dir))
@@ -589,38 +510,16 @@ def test_jit_is_the_only_compiler(tmp_path):
     assert len(compiles) <= got["codegen"]
     assert set(execs) == {"repro.sim.cpu"}
     assert len(execs) == got["jit_blocks"]
-    assert got["codegen"] <= got["promotions"]
+    assert got["codegen"] == got["shapes"]
 
 
-# -- JIT settings are validated where they are given ------------------
-
-
-@pytest.mark.parametrize("field, value", [
-    ("jit", "bogus"), ("jit_threshold", 0), ("jit_threshold", -3),
-    ("jit_threshold", 2.5)])
-def test_invalid_jit_settings_rejected_at_construction(field, value):
-    for build in (MachineConfig, SoftCacheConfig,
-                  lambda **kw: CPU(Memory(), **kw)):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            build(**{field: value})
-
-
-def test_admin_set_validates_jit_settings():
-    system = SoftCacheSystem(build_workload("sensor", 0.02),
-                             SoftCacheConfig(tcache_size=4096))
-    cc, cpu = system.cc, system.machine.cpu
-    with pytest.raises(ValueError, match="^jit must be"):
-        cc.admin_set(jit="bogus")
-    with pytest.raises(ValueError, match="^jit_threshold must be"):
-        cc.admin_set(jit_threshold=0)
-    assert (cpu.jit, cpu.jit_threshold) == ("hot", 16)
-    assert cc.admin_set(jit="off", jit_threshold=3) == {
-        "verb": "set", "jit": "off", "jit_threshold": 3}
-    assert (cpu.jit, cpu.jit_threshold) == ("off", 3)
+# -- the tier knobs are gone -----------------------------------------
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
 def test_cli_rejects_bad_jit_threshold(capsys, value):
+    """Every fused block compiles, so there is no threshold to set:
+    ``--jit-threshold`` is an unknown flag on run and admin set."""
     from repro.cli import main
     for argv in (["run", "sensor", "--jit-threshold", value],
                  ["admin", "set", "--jit-threshold", value]):
@@ -666,7 +565,7 @@ def test_jitcache_corrupt_file_is_a_miss(artifact_dir):
 def test_jitcache_wrong_types_is_a_miss(artifact_dir, fresh_jit_cache):
     """A well-formed artifact whose code item is not a code object is
     a miss: the block recompiles and the store overwrites the file."""
-    config = MachineConfig(superblocks=True, jit="all")
+    config = _MODES["jit"]
     want, first = _run_mode(_IMAGE, config)
     artifacts = list(artifact_dir.glob(f"{jitcache.ARTIFACT_PREFIX}*.sbc"))
     assert len(artifacts) == first.cpu.jit_stats.jit_codegen > 0
@@ -729,7 +628,7 @@ import json, sys
 from repro.sim import Machine, MachineConfig
 from repro.workloads import build_workload
 machine = Machine(build_workload("sensor", 0.02),
-                  MachineConfig(superblocks=True, jit="all"))
+                  MachineConfig(superblocks=True))
 machine.run()
 js = machine.cpu.jit_stats
 print(json.dumps({"codegen": js.jit_codegen,
@@ -786,37 +685,35 @@ def test_dump_superblock_report():
     assert [i["target"] for i in machine.cpu.superblock_info(loop + 4)] \
         == [loop, loop]
     targets = {e["start"]: e["target"]
-               for e in machine.cpu.superblock_census()["hottest"]}
+               for e in machine.cpu.superblock_census()["longest"]}
     assert targets[_IMAGE.symbols["main"]] == targets[loop] == loop
     miss = dump_superblock(machine.cpu, 0x0A00_0000)
     assert "no live superblock" in miss
 
 
-def test_dump_and_census_report_tier0():
-    """A cold block reports tier0 with no source: the dump shows only
-    its guest code, and the census counts it under ``tier0``."""
-    from repro.softcache.debug import dump_superblock
-    machine = Machine(_IMAGE, MachineConfig(superblocks=True, jit="off"))
-    with pytest.raises(CycleLimitExceeded):
-        machine.cpu.run(max_instructions=WARM)
-    loop = _IMAGE.symbols["loop"]
-    assert {i["tier"] for i in machine.cpu.superblock_info(loop + 4)} \
-        == {"tier0"}
-    report = dump_superblock(machine.cpu, loop + 4)
-    assert "tier=tier0" in report
-    assert "guest code:" in report
-    assert "generated source:" not in report
+def test_census_counts_tiers_and_ranks_longest_blocks():
+    """The census counts fused blocks under ``jit`` and lone closures
+    under ``single``, and lists the longest fused blocks first (ties by
+    start address), each with its exit target."""
+    machine = _warm_jit_machine()
     census = machine.cpu.superblock_census()
-    assert census["tiers"]["jit"] == 0
-    assert census["tiers"]["tier0"] >= 2
     assert census["blocks"] == sum(census["tiers"].values())
+    assert census["tiers"]["jit"] >= 2
+    assert set(census) == {"blocks", "tiers", "jit_codegen", "longest"}
+    ranked = [(-e["instructions"], e["start"]) for e in census["longest"]]
+    assert ranked == sorted(ranked)
+    main, loop = _IMAGE.symbols["main"], _IMAGE.symbols["loop"]
+    # the prologue run (two li words, then the body) is the longest
+    assert census["longest"][0] == {
+        "start": main, "end": loop + 4 * BODY_LEN,
+        "instructions": (loop - main) // 4 + BODY_LEN, "target": loop}
+    assert len(machine.cpu.superblock_census(top=1)["longest"]) == 1
 
 
 def test_cli_dump_superblock(capsys):
     from repro.cli import main
     code = main(["debug", "sensor", "--scale", "0.02",
-                 "--tcache", "4096", "--jit", "all",
-                 "--dump-superblock", "0x10000"])
+                 "--tcache", "4096", "--dump-superblock", "0x10000"])
     out = capsys.readouterr().out
     assert code == 0
     assert "superblock" in out

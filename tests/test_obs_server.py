@@ -7,7 +7,12 @@ import urllib.request
 
 import pytest
 
-from repro.obs import ControlPlane, ObsServer, parse_serve
+from repro.obs import (
+    TRACE_SCHEMA_VERSION,
+    ControlPlane,
+    ObsServer,
+    parse_serve,
+)
 from repro.sim import CycleLimitExceeded
 from repro.softcache import SoftCacheConfig, SoftCacheSystem
 from repro.softcache.debug import architectural_state
@@ -71,7 +76,8 @@ def test_metrics_scrape_is_prometheus_text(served_run):
            f"{system.stats.translations}" in body
     assert "# HELP repro_cc_translations_total" in body
     assert "repro_build_info{" in body
-    assert 'jit="hot"' in body
+    assert 'granularity="block"' in body
+    assert "jit=" not in body
 
 
 def test_inspect_tcache(served_run):
@@ -94,11 +100,10 @@ def test_inspect_superblocks(served_run):
     snap = json.loads(body)
     assert status == 200
     assert snap["blocks"] == sum(snap["tiers"].values())
-    assert snap["jit_mode"] == "hot"
-    if snap["hottest"]:
-        hits = [b["hits"] for b in snap["hottest"]
-                if b["hits"] is not None]
-        assert hits == sorted(hits, reverse=True)
+    assert set(snap["tiers"]) == {"jit", "single"}
+    assert snap["tiers"]["jit"] > 0
+    lengths = [b["instructions"] for b in snap["longest"]]
+    assert lengths and lengths == sorted(lengths, reverse=True)
 
 
 def test_inspect_shards_solo(served_run):
@@ -233,20 +238,23 @@ def test_admin_set_and_flush():
 
     ctl = ControlPlane()
     system.cc._control = ctl
-    set_cmd = ctl.post("set", {"prefetch_depth": 2, "jit": "off"})
+    set_cmd = ctl.post("set", {"prefetch_depth": 2})
     flush_cmd = ctl.post("flush", {})
     system.machine.cpu.run(2_000_000_000)
 
     assert set_cmd.result["prefetch_depth"] == 2
     assert system.cc.prefetch_depth == 2
-    assert system.machine.cpu.jit == "off"
     assert flush_cmd.result["verb"] == "flush"
     assert system.stats.admin_commands == 2
     assert ctl.applied == 2
 
 
 def test_admin_rejects_bad_args():
+    """Bad commands fail with an error naming what was wrong; the run
+    goes on and ends with the reference output."""
     image = build_workload("sensor", 0.05)
+    reference = SoftCacheSystem(
+        image, SoftCacheConfig(tcache_size=2048)).run().output
     system = SoftCacheSystem(image, SoftCacheConfig(tcache_size=2048))
     _run_partially(system)
     ctl = ControlPlane()
@@ -254,13 +262,21 @@ def test_admin_rejects_bad_args():
     bad_depth = ctl.post("set", {"prefetch_depth": -1})
     bad_verb = ctl.post("defrag", {})
     empty_set = ctl.post("set", {})
-    system.machine.cpu.run(2_000_000_000)
+    old_knob = ctl.post("set", {"jit": "all"})
+    misspelt = ctl.post("set", {"prefetch_depth": 2, "prefetch_dpeth": 2})
+    bad_type = ctl.post("resize", {"tcache_size": None})
+    assert system.machine.cpu.run(2_000_000_000) == 0
+    assert system.machine.output_text == reference
     assert bad_depth.error is not None
     assert bad_verb.error is not None
     assert empty_set.error is not None
+    assert "unknown field 'jit'" in old_knob.error
+    assert "unknown field 'prefetch_dpeth'" in misspelt.error
+    assert bad_type.error is not None
     assert ctl.applied == 0
+    assert system.cc.prefetch_depth == 0
     # failed commands still bill their MC service round trip
-    assert system.stats.admin_commands == 3
+    assert system.stats.admin_commands == 6
 
 
 def test_resize_resets_policy_state():
@@ -411,6 +427,53 @@ def test_resize_over_http_waits_for_miss_boundary():
     assert reply["status"] == "applied"
     assert reply["result"]["tcache_size"] == 1536
     assert system.cc.tcache.size == 1536
+
+
+def test_admin_unknown_field_over_http_is_400():
+    """A field the verb does not take comes back as HTTP 400 naming the
+    field, and the run it was sent to still finishes."""
+    image = build_workload("sensor", 0.05)
+    system = SoftCacheSystem(image, SoftCacheConfig(tcache_size=2048))
+    _run_partially(system)
+
+    with ObsServer("127.0.0.1", 0) as server:
+        server.attach_system(system)
+        results = {}
+
+        def poster():
+            try:
+                _post(server.url + "/admin/set?wait=30",
+                      {"prefetch_depth": 2, "bogus": 1})
+            except urllib.error.HTTPError as exc:
+                results["resp"] = exc.code, exc.read().decode()
+
+        thread = threading.Thread(target=poster, daemon=True)
+        thread.start()
+        assert _wait_for(lambda: server.control.pending, 10)
+        assert system.machine.cpu.run(2_000_000_000) == 0
+        thread.join(timeout=30)
+
+    status, body = results["resp"]
+    assert status == 400
+    reply = json.loads(body)
+    assert reply["status"] == "rejected"
+    assert "unknown field 'bogus'" in reply["error"]
+    assert system.cc.prefetch_depth == 0
+
+
+@pytest.mark.parametrize("wait", ["abc", "nan", "inf"])
+def test_admin_bad_wait_is_400(wait):
+    """``?wait=`` must be a number of seconds: anything else is a 400
+    naming ``wait``, and nothing is queued."""
+    system = SoftCacheSystem(build_workload("sensor", 0.05),
+                             SoftCacheConfig(tcache_size=2048))
+    with ObsServer("127.0.0.1", 0) as server:
+        server.attach_system(system)
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _post(server.url + f"/admin/flush?wait={wait}", {})
+        assert exc.value.code == 400
+        assert "wait" in json.loads(exc.value.read())["error"]
+        assert not server.control.pending
 
 
 def _wait_for(predicate, timeout_s):
@@ -639,6 +702,7 @@ def test_cli_admin_offline(tmp_path, capsys):
     rc = main(["admin", "stats", "--from", jsonl])
     out = capsys.readouterr().out
     assert rc == 0
+    assert f"(schema {TRACE_SCHEMA_VERSION}, " in out.splitlines()[0]
     assert "trace_events_total{" in out
 
     # control verbs cannot target a recording

@@ -240,15 +240,13 @@ main:
         assert machine.output_text == "0bee0000"
 
 
-# -- tier 0: threaded per-instruction closures --------------------------
-
-TIER0 = MachineConfig(superblocks=True, jit="off")
+# -- faults and self-modifying stores inside a fused (JIT) block --------
 
 
 def test_tier0_fault_reports_faulting_word():
-    """A load faulting at the third word of a tier-0 block leaves the
-    pc on that word and the counts of exactly the three instructions
-    that ran, as per-instruction dispatch does."""
+    """A load faulting at the third word of a fused (JIT) block leaves
+    the pc on that word and the counts of exactly the three
+    instructions that ran, as per-instruction dispatch does."""
     source = """
     .global main
 main:
@@ -261,25 +259,25 @@ main:
     image = assemble_and_link(source, "fault")
     main = image.symbols["main"]
     results = []
-    for config in (TIER0, MachineConfig(superblocks=False)):
-        machine = Machine(image, config)
+    for superblocks in (True, False):
+        machine = Machine(image, MachineConfig(superblocks=superblocks))
         with pytest.raises(MemoryFault):
             machine.run()
         results.append((machine.cpu.pc, machine.cpu.icount,
                         machine.cpu.cycles, list(machine.cpu.regs)))
-        if config is TIER0:
+        if superblocks:
             infos = machine.cpu.superblock_info(main + 8)
             assert [(i["start"], i["tier"]) for i in infos] == \
-                [(main, "tier0")]
-            assert infos[0]["source"] is None
-    tier0, per_insn = results
-    assert tier0 == per_insn
-    assert tier0[0] == main + 8
+                [(main, "jit")]
+            assert "def _sb(" in infos[0]["source"]
+    fused, per_insn = results
+    assert fused == per_insn
+    assert fused[0] == main + 8
 
 
 def test_store_inside_tier0_block_rewrites_later_word():
-    """A store that rewrites a later word of its own tier-0 block
-    takes effect in that same pass (the code-generation guard)."""
+    """A store that rewrites a later word of its own fused block takes
+    effect in that same pass (the JIT's code-generation side exit)."""
     patched = encode(Insn(Op.ADDI, rd=11, rs1=11, imm=40))  # t3 += 40
     source = f"""
     .global main
@@ -297,14 +295,15 @@ patchme:
 """
     image = assemble_and_link(source, "smc")
     results = []
-    for config in (TIER0, MachineConfig(superblocks=False)):
-        machine = Machine(image, config)
+    for superblocks in (True, False):
+        machine = Machine(image, MachineConfig(superblocks=superblocks))
         assert machine.run() == 0
         results.append((machine.cpu.icount, machine.cpu.cycles,
                         machine.output_text))
-        if config is TIER0:
+        if superblocks:
             stats = machine.cpu.sb_stats
             assert stats.fused_blocks >= 1
             assert stats.invalidated_blocks >= 1
+            assert machine.cpu.jit_stats.jit_blocks >= 1
     assert results[0] == results[1]
     assert results[0][2] == "41"
