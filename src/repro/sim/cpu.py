@@ -30,13 +30,19 @@ the op table: per-instruction dispatch (``superblocks=False``, the
 reference) and the JIT.  They are cycle-identical: fusion only changes
 host speed, never simulated counters.
 
-Writes into executable regions (i.e. dynamic binary rewriting by the
-SoftCache) invalidate the affected decode-cache entries *and every
-superblock overlapping the written words*, so patched branch words and
-``debug_poison`` BREAK words take effect exactly like they would on
-real hardware with coherent fetch.  A store executed from inside a
-fused block re-checks a code-generation counter so even self-modifying
-stores fall back to fresh decode mid-block.
+A write that changes bytes of an executable region (dynamic binary
+rewriting by the SoftCache) drops the per-address closures and
+single-word dispatch entries of the written words, and the fused blocks
+it overlaps go stale, so patched branch words and ``debug_poison``
+BREAK words take effect exactly like they would on real hardware with
+coherent fetch.  A block whose span the write touches anywhere but its
+last word is killed at once.  A write confined to its last word only
+drops its dispatch entry: at the next dispatch the block is rebound
+through the content-keyed JIT caches when the last word changed only
+in its exit-target field (a backpatch or an unlink), else killed and
+re-scanned.  A store executed from inside a fused block re-checks a
+code-generation counter so even self-modifying stores fall back to
+fresh decode mid-block.
 
 The CPU knows nothing about caching.  The SoftCache hooks in through
 two narrow interfaces:
@@ -82,6 +88,7 @@ from .jit import (
     fill,
     jit_codegen,
     split_target,
+    target_field,
 )
 from . import jitcache
 from .memory import Memory
@@ -150,11 +157,17 @@ class SuperblockStats:
     #: Dispatch entries that stayed single per-instruction closures
     #: (TRAP/SYSCALL/BREAK/HALT words, lone control transfers).
     single_closures: int = 0
-    #: Blocks killed because a code write overlapped their span.
+    #: Fused blocks killed because a code write changed their span: at
+    #: the write, or at the next dispatch for a last-word change that
+    #: was not a retarget.
     invalidated_blocks: int = 0
+    #: Fused blocks rebound at their next dispatch, without a re-scan,
+    #: after a code write changed only their last word's exit-target
+    #: field (a backpatch or an unlink of the exit).
+    retargeted_blocks: int = 0
     #: Whole-cache flushes (tcache flush / invalidate_all_decoded).
     flushes: int = 0
-    #: Executable-region write events seen by the invalidation hook.
+    #: Executable-region writes that changed a byte (hook calls).
     code_writes: int = 0
 
     @property
@@ -193,7 +206,7 @@ class CPU:
         #: "fuse" (superblock fused, n = fused instructions),
         #: "jit_compile" / "jit_load" (a block's shape was compiled or
         #: loaded from the store, n = its instructions),
-        #: "sb_invalidate" (a code write killed the block at pc) or
+        #: "sb_invalidate" (a code write killed the fused block at pc) or
         #: "flush" (whole decode/superblock cache dropped).  None keeps
         #: the hot paths hook-free.
         self.trace_hook: Callable[[str, int, int], None] | None = None
@@ -203,13 +216,16 @@ class CPU:
         #: their word, so every address holding a word shares one
         #: closure; never invalidated.
         self._word_fns: dict[int, Callable[[int], int]] = {}
-        #: Superblock dispatch table: block-start pc -> closure.
+        #: Dispatch table: block-start pc -> closure, for live fused
+        #: blocks and single-word entries alike.
         self._blocks: dict[int, Callable[[int], int]] = {}
-        #: Block-start pc -> end address (exclusive) of its span.
+        #: Fused block start -> end address (exclusive) of its span.  A
+        #: block missing from ``_blocks`` is stale: a code write changed
+        #: its last word, and its next dispatch rebinds or kills it.
         self._block_span: dict[int, int] = {}
-        #: 64-byte bucket (addr >> _COVER_SHIFT) -> set of block starts
-        #: whose span touches the bucket; consumers filter candidates
-        #: through ``_block_span`` for word precision.
+        #: 64-byte bucket (addr >> _COVER_SHIFT) -> set of fused block
+        #: starts whose span touches the bucket; consumers filter
+        #: candidates through ``_block_span`` for word precision.
         self._block_cover: dict[int, set[int]] = {}
         #: Generation counter cell, bumped on every code write; fused
         #: blocks re-check it after stores to catch self-modification.
@@ -224,8 +240,8 @@ class CPU:
         #: word runs reuse one binding across evict/flush/retranslate
         #: cycles.
         self._sb_jit_fns: dict[tuple[int, ...], Callable[[int], int]] = {}
-        #: Block-start pc -> content key of the block registered there
-        #: (introspection).
+        #: Fused block start -> content key of the block registered
+        #: there (stale rebinding, introspection).
         self._block_key: dict[int, tuple[int, ...]] = {}
         #: Interned id of this CPU's per-op cost table; part of the
         #: module-level codegen cache key (costs are baked into the
@@ -269,42 +285,49 @@ class CPU:
     # -- decode cache -------------------------------------------------------
 
     def _invalidate_decoded(self, addr: int, length: int) -> None:
-        """Code-write hook: drop closures and superblocks made stale by
-        a write to ``[addr, addr + length)``.
+        """Code-write hook: drop what a write that changed bytes in
+        ``[addr, addr + length)`` made stale.
 
-        Every superblock whose span merely *overlaps* a patched word is
-        killed, not just the block starting there — backpatched branch
-        words and ``debug_poison`` BREAK words in the middle of a fused
-        run must take effect on the next dispatch.
+        The closures and single-word dispatch entries of the written
+        words go.  Every fused block whose span merely *overlaps* the
+        write is killed, not just the block starting there, so
+        backpatched branch words and ``debug_poison`` BREAK words in
+        the middle of a fused run take effect on the next dispatch.
+        The one exception is a write confined to a block's last word:
+        it drops only the dispatch entry, and :meth:`_build_block`
+        rebinds or kills the stale block when it is next entered.
         """
         self._code_gen[0] += 1
         self.sb_stats.code_writes += 1
         lo = addr & ~3
         hi = addr + length
         pop = self._decoded.pop
+        drop = self._blocks.pop
         for a in range(lo, hi, 4):
             pop(a, None)
+            drop(a, None)
         cover_get = self._block_cover.get
-        span_get = self._block_span.get
+        span = self._block_span
         kill = self._kill_block
         for bucket in range(lo >> _COVER_SHIFT,
                             ((hi - 1) >> _COVER_SHIFT) + 1):
             starts = cover_get(bucket)
             if starts:
                 for start in tuple(starts):
-                    end = span_get(start)
-                    if end is not None and start < hi and end > lo:
-                        kill(start)
+                    end = span[start]
+                    if start < hi and end > lo:
+                        if lo >= end - 4:
+                            drop(start, None)
+                        else:
+                            kill(start)
 
     def _kill_block(self, start: int) -> None:
         self._blocks.pop(start, None)
-        self._block_key.pop(start, None)
-        end = self._block_span.pop(start, None)
+        self._block_key.pop(start)
+        end = self._block_span.pop(start)
         self.sb_stats.invalidated_blocks += 1
         if self.trace_hook is not None:
             self.trace_hook("sb_invalidate", start, 0)
-        if end is None:
-            return
         cover = self._block_cover
         for bucket in range(start >> _COVER_SHIFT,
                             ((end - 1) >> _COVER_SHIFT) + 1):
@@ -356,85 +379,88 @@ class CPU:
 
     # -- superblock construction ------------------------------------------
 
-    def _register_block(self, start: int, end: int,
-                        fn: Callable[[int], int], fused: int
-                        ) -> Callable[[int], int]:
-        self._blocks[start] = fn
-        self._block_span[start] = end
+    def _build_block(self, pc: int) -> Callable[[int], int]:
+        """Make the dispatch entry for *pc*.
+
+        A stale fused block at *pc* whose last word changed only in its
+        exit-target field is rebound to its new content key through
+        :meth:`_jit_for_key`; any other stale block is killed first.
+        Then the word at *pc* is classified: a control transfer or a
+        trap-class word gets its per-instruction closure as a single
+        entry, as does a straight-line word that fusion would leave
+        alone.  Otherwise the straight-line run from *pc* (up to the
+        next control transfer, which it includes) is fused and bound to
+        JIT code for its content.  Decode problems *inside* the run
+        just end the block early; the offending word raises with exact
+        pc/stats when (and only when) it is reached.
+        """
+        mem = self.mem
+        region = mem.region_at(pc)  # raises MemoryFault if unmapped
+        if pc & 3 or not region.executable:
+            return self._decode_at(pc)  # raises the precise FetchFault
+        key = self._block_key.get(pc)
+        if key is not None:
+            # stale: only its last word can differ from the key
+            word = mem.read_word(self._block_span[pc] - 4)
+            old = key[-1]
+            if not (word ^ old) & ~target_field(old):
+                key = key[:-1] + (word,)
+                fn = self._blocks[pc] = self._jit_for_key(key, pc)
+                self._block_key[pc] = key
+                self.sb_stats.retargeted_blocks += 1
+                return fn
+            self._kill_block(pc)
+        view = region.view32
+        i0 = (pc - region.base) >> 2
+        first = view[i0] if view is not None else mem.read_word(pc)
+        classify = _WORD_CLASS.get
+        cls = classify(first)
+        if cls is None:
+            cls = _classify_word(first)
+        words = [first]
+        if not cls:
+            # the rest of the run, in one batched fetch: at most
+            # FUSE_LIMIT - 1 words in all
+            limit = min(FUSE_LIMIT - 1, (region.end_addr - pc) >> 2)
+            if view is not None:
+                rest = view[i0 + 1:i0 + limit].tolist()
+            else:
+                rest = [mem.read_word(a)
+                        for a in range(pc + 4, pc + 4 * limit, 4)]
+            for word in rest:
+                cls = classify(word)
+                if cls is None:
+                    cls = _classify_word(word)
+                if cls == 2:  # TRAP/SYSCALL/BREAK/HALT or undecodable
+                    break
+                words.append(word)
+                if cls:
+                    break
+        if len(words) < 2:
+            fn = self._word_fns.get(first)
+            if fn is None:
+                fn = self._closure(first, pc)
+            self._blocks[pc] = self._decoded[pc] = fn
+            self.sb_stats.single_closures += 1
+            return fn
+        key = tuple(words)
+        fn = self._blocks[pc] = self._jit_for_key(key, pc)
+        self._block_key[pc] = key
+        end = self._block_span[pc] = pc + 4 * len(words)
         cover = self._block_cover
-        for bucket in range(start >> _COVER_SHIFT,
+        for bucket in range(pc >> _COVER_SHIFT,
                             ((end - 1) >> _COVER_SHIFT) + 1):
             starts = cover.get(bucket)
             if starts is None:
-                cover[bucket] = {start}
+                cover[bucket] = {pc}
             else:
-                starts.add(start)
-        if fused:
-            self.sb_stats.fused_blocks += 1
-            self.sb_stats.fused_instructions += fused
-            if self.trace_hook is not None:
-                self.trace_hook("fuse", start, fused)
-        else:
-            self.sb_stats.single_closures += 1
+                starts.add(pc)
+        stats = self.sb_stats
+        stats.fused_blocks += 1
+        stats.fused_instructions += len(words)
+        if self.trace_hook is not None:
+            self.trace_hook("fuse", pc, len(words))
         return fn
-
-    def _build_block(self, pc: int) -> Callable[[int], int]:
-        """Fuse the straight-line run starting at *pc* into one block.
-
-        Falls back to the per-instruction closure when the word at *pc*
-        is a control transfer, a trap-class instruction, or fusion would
-        cover fewer than two instructions.  Decode problems *inside* the
-        straight-line run just end the block early; the offending word
-        raises with exact pc/stats when (and only when) it is reached.
-
-        The block binds this CPU's JIT function for its content
-        (:meth:`_jit_for_key`).
-        """
-        region = self.mem.region_at(pc)  # raises MemoryFault if unmapped
-        if pc & 3 or not region.executable:
-            # _decode_at raises the precise FetchFault
-            return self._register_block(pc, pc + 4, self._decode_at(pc), 0)
-        base, end, buf = region.base, region.end, region.buf
-        view = region.view32
-        classify = _WORD_CLASS.get
-        # one batched fetch of the longest possible run, then a plain
-        # list walk: far cheaper than per-word view indexing
-        limit = min(FUSE_LIMIT, (end - pc) >> 2)
-        i0 = (pc - base) >> 2
-        if view is not None:
-            chunk = view[i0:i0 + limit].tolist()
-        else:
-            lo = pc - base
-            chunk = [int.from_bytes(buf[o:o + 4], "little")
-                     for o in range(lo, lo + limit * 4, 4)]
-        words: list[int] = []
-        has_term = False
-        straight = 0
-        addr = pc
-        for word in chunk:
-            if straight >= FUSE_LIMIT - 1:
-                break
-            cls = classify(word)
-            if cls is None:
-                cls = _classify_word(word)
-            if cls:
-                if cls == 1:
-                    words.append(word)
-                    has_term = True
-                # else TRAP/SYSCALL/BREAK/HALT or undecodable:
-                # per-instruction only
-                break
-            words.append(word)
-            straight += 1
-            addr += 4
-        fused = len(words)
-        if fused < 2:
-            return self._register_block(pc, pc + 4, self._decode_at(pc), 0)
-        key = tuple(words)
-        fn = self._jit_for_key(key, pc)
-        self._block_key[pc] = key
-        return self._register_block(
-            pc, addr + 4 if has_term else addr, fn, fused)
 
     # -- the template-JIT binding -----------------------------------------
 
@@ -495,35 +521,32 @@ class CPU:
         return jfn
 
     def superblock_info(self, pc: int) -> list[dict]:
-        """Describe every live block whose span covers *pc* (for
-        ``repro debug --dump-superblock``): start/end, tier ("jit" for
-        a fused block, "single" for one per-instruction closure),
-        instruction count, the exit ``target`` (see
+        """Describe every live dispatch entry that covers *pc* (for
+        ``repro debug --dump-superblock``), by start: start/end, tier
+        ("jit" for a fused block, "single" for one per-instruction
+        closure at *pc*), instruction count, the exit ``target`` (see
         :func:`_exit_target`) and, for fused blocks, the words and the
-        generated source."""
-        span_get = self._block_span.get
-        starts = sorted(
-            s for s in self._block_cover.get(pc >> _COVER_SHIFT, ())
-            if s <= pc < span_get(s, s + 4))
+        generated source.  Stale fused blocks are not live."""
+        blocks = self._blocks
+        span = self._block_span
         out: list[dict] = []
-        for start in starts:
-            end = self._block_span.get(start, start + 4)
-            key = self._block_key.get(start)
-            if key is None:
-                out.append({"start": start, "end": end, "tier": "single",
-                            "instructions": (end - start) // 4,
-                            "target": None, "source": None,
-                            "words": None})
-                continue
+        for start in sorted(
+                s for s in self._block_cover.get(pc >> _COVER_SHIFT, ())
+                if s in blocks and s <= pc < span[s]):
+            key = self._block_key[start]
             cached = _SB_JIT_COMPILED.get(
                 (self._sb_cost_tag, self.image_tag, split_target(key)[0]))
             out.append({
-                "start": start, "end": end, "tier": "jit",
+                "start": start, "end": span[start], "tier": "jit",
                 "instructions": len(key),
                 "target": _exit_target(start, key),
                 "source": cached[2] if cached is not None else None,
                 "words": list(key),
             })
+        if pc in blocks and pc not in span:
+            out.append({"start": pc, "end": pc + 4, "tier": "single",
+                        "instructions": 1, "target": None,
+                        "source": None, "words": None})
         return out
 
     def superblock_census(self, top: int = 10) -> dict:
@@ -533,10 +556,10 @@ class CPU:
         live entries are fused JIT blocks ("jit") and how many single
         per-instruction closures ("single"), the codegen count, and
         the *top* longest fused blocks by instruction count (ties by
-        start address).  Read-only over the dispatch tables.
+        start address).  Stale fused blocks are not live.  Read-only
+        over the dispatch tables.
         """
         key_get = self._block_key.get
-        span_get = self._block_span.get
         starts = list(self._blocks)
         fused = [(start, key_get(start)) for start in starts]
         fused = [entry for entry in fused if entry[1] is not None]
@@ -546,7 +569,7 @@ class CPU:
             "tiers": {"jit": len(fused), "single": len(starts) - len(fused)},
             "jit_codegen": self.jit_stats.jit_codegen,
             "longest": [
-                {"start": s, "end": span_get(s, s + 4),
+                {"start": s, "end": s + 4 * len(k),
                  "instructions": len(k), "target": _exit_target(s, k)}
                 for s, k in fused[:top]],
         }

@@ -7,9 +7,11 @@ SoftCache mode the remote text region is mapped *non-executable* so
 any fetch escaping the translation cache faults immediately instead of
 silently running untranslated code.
 
-Writes into executable regions invoke ``code_write_hooks`` so the
-CPU's decode cache can invalidate stale closures — this is what makes
-dynamic binary rewriting visible to the interpreter.
+A write into an executable region that changes at least one byte
+invokes ``code_write_hooks`` so the CPU can drop the closures and
+superblocks it made stale — this is what makes dynamic binary
+rewriting visible to the interpreter.  A write that stores the bytes
+already there changes no code, so it calls no hook.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class Memory:
 
     def __init__(self) -> None:
         self.regions: list[Region] = []
-        #: Called as ``hook(addr, length)`` after a write into any
-        #: executable region (decode-cache invalidation).
+        #: Called as ``hook(addr, length)`` after a write that changes
+        #: a byte of an executable region (decode-cache invalidation).
         self.code_write_hooks: list[Callable[[int, int], None]] = []
         self._last: Region | None = None
         #: 4K-page number -> region, for pages fully inside one region;
@@ -140,15 +142,19 @@ class Memory:
         if not region.writable:
             raise MemoryFault(addr, "write to read-only region")
         view = region.view32
-        if view is not None:
+        if view is None:
+            self._write_buf(region, addr,
+                            (value & 0xFFFFFFFF).to_bytes(4, "little"))
+        elif not region.executable:
             view[(addr - region.base) >> 2] = value & 0xFFFFFFFF
         else:
-            off = addr - region.base
-            region.buf[off:off + 4] = (
-                value & 0xFFFFFFFF).to_bytes(4, "little")
-        if region.executable:
-            for hook in self.code_write_hooks:
-                hook(addr, 4)
+            # the code write path: _write_buf's test, on the view
+            i = (addr - region.base) >> 2
+            value &= 0xFFFFFFFF
+            if view[i] != value:
+                view[i] = value
+                for hook in self.code_write_hooks:
+                    hook(addr, 4)
 
     def read_half(self, addr: int) -> int:
         if addr & 1:
@@ -171,14 +177,11 @@ class Memory:
         if not region.writable:
             raise MemoryFault(addr, "write to read-only region")
         view = region.view16
-        if view is not None:
-            view[(addr - region.base) >> 1] = value & 0xFFFF
+        if view is None or region.executable:
+            self._write_buf(region, addr,
+                            (value & 0xFFFF).to_bytes(2, "little"))
         else:
-            off = addr - region.base
-            region.buf[off:off + 2] = (value & 0xFFFF).to_bytes(2, "little")
-        if region.executable:
-            for hook in self.code_write_hooks:
-                hook(addr, 2)
+            view[(addr - region.base) >> 1] = value & 0xFFFF
 
     def read_byte(self, addr: int) -> int:
         region = self._last
@@ -192,10 +195,10 @@ class Memory:
             region = self.region_at(addr)
         if not region.writable:
             raise MemoryFault(addr, "write to read-only region")
-        region.buf[addr - region.base] = value & 0xFF
         if region.executable:
-            for hook in self.code_write_hooks:
-                hook(addr, 1)
+            self._write_buf(region, addr, bytes((value & 0xFF,)))
+        else:
+            region.buf[addr - region.base] = value & 0xFF
 
     # -- bulk access ------------------------------------------------------
 
@@ -212,11 +215,23 @@ class Memory:
             raise MemoryFault(addr, "write crosses region")
         if not region.writable:
             raise MemoryFault(addr, "write to read-only region")
+        self._write_buf(region, addr, data)
+
+    def _write_buf(self, region: Region, addr: int, data: bytes) -> None:
+        """Store *data* at *addr* in *region*'s buffer.  In an
+        executable region, skip the store and the code-write hooks when
+        every byte already holds its value: nothing would go stale."""
         off = addr - region.base
-        region.buf[off:off + len(data)] = data
+        end = off + len(data)
+        buf = region.buf
         if region.executable:
+            if buf[off:end] == data:
+                return
+            buf[off:end] = data
             for hook in self.code_write_hooks:
                 hook(addr, len(data))
+        else:
+            buf[off:end] = data
 
     def read_cstring(self, addr: int, max_len: int = 4096) -> str:
         """Read a NUL-terminated latin-1 string (for the PUTS syscall)."""

@@ -858,18 +858,21 @@ class BaseCacheController:
         replacement policy (fresh metadata — a mid-run ``trrip`` has
         no temperature map and degrades to neutral seeding).
         """
+        # validate every field before applying any, so a rejected
+        # command changes nothing
+        if policy is None and prefetch_depth is None:
+            raise ValueError("admin set: no knob given")
+        depth = None if prefetch_depth is None else int(prefetch_depth)
+        if depth is not None and depth < 0:
+            raise ValueError("prefetch_depth must be >= 0")
+        new_policy = None if policy is None else make_policy(policy)
         applied: dict = {"verb": "set"}
-        if policy is not None:
-            self._set_policy(policy)
+        if new_policy is not None:
+            self._set_policy(new_policy)
             applied["policy"] = self.policy
-        if prefetch_depth is not None:
-            depth = int(prefetch_depth)
-            if depth < 0:
-                raise ValueError("prefetch_depth must be >= 0")
+        if depth is not None:
             self.prefetch_depth = depth
             applied["prefetch_depth"] = depth
-        if len(applied) == 1:
-            raise ValueError("admin set: no knob given")
         return applied
 
     def admin_publish(self, *, image: str) -> dict:

@@ -67,6 +67,25 @@ def test_eviction_golden_equivalence(workload, scale, kwargs, expected):
     assert got == expected
 
 
+def test_thrash_golden_interpreter_counters():
+    """The thrash row's host-side miss-path work, pinned by counters
+    that do not depend on the machine: code writes that change a byte,
+    fused blocks killed, and stale blocks rebound after a retarget.
+    Hook calls for unchanged writes, or a kill on every retarget, move
+    them on any host."""
+    workload, scale, kwargs, expected = GOLDENS[0]
+    assert kwargs == dict(tcache_size=768, granularity="block",
+                          policy="fifo")
+    system = SoftCacheSystem(build_workload(workload, scale),
+                             SoftCacheConfig(link=LOCAL_LINK,
+                                             record_timeline=False,
+                                             **kwargs))
+    assert system.run(600_000_000).cycles == expected["cycles"]
+    sb = system.machine.cpu.sb_stats
+    assert (sb.code_writes, sb.invalidated_blocks,
+            sb.retargeted_blocks) == (5311, 1904, 934)
+
+
 @pytest.mark.parametrize("workload,scale,kwargs,expected", GOLDENS,
                          ids=[f"{w}-{k['granularity']}-{k['policy']}-"
                               f"{k['tcache_size']}B-object"

@@ -25,9 +25,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble_and_link
-from repro.isa import Insn, Op, encode, patch_branch_disp
+from repro.isa import (
+    A0,
+    S0,
+    T0,
+    Insn,
+    Op,
+    encode,
+    patch_branch_disp,
+    patch_jump_target,
+)
 from repro.isa.encoding import TARGET26_MAX
 from repro.sim import (
+    FUSE_LIMIT,
     CycleLimitExceeded,
     JIT_CODEGEN_VERSION,
     Machine,
@@ -161,14 +171,19 @@ def _finish(machine):
 def test_patch_any_offset_drops_jit_block(offset):
     """A ``j done`` backpatched over any body word of a warm JIT'd
     block redirects the loop exactly as fresh per-instruction decode
-    — and the block is gone from the dispatch table."""
+    — and no live dispatch entry covers the word.  A patch of the
+    prefix kills both blocks at the write; one over the terminator
+    only drops their dispatch entries, and the changed opcode kills
+    the block when it is next dispatched."""
     machine = _warm_jit_machine()
-    killed_before = machine.cpu.sb_stats.invalidated_blocks
+    stats = machine.cpu.sb_stats
+    killed_before = stats.invalidated_blocks
     addr = _IMAGE.symbols["loop"] + 4 * offset
     done = _IMAGE.symbols["done"]
     machine.mem.write_word(addr, encode(Insn(Op.J, imm=done >> 2)))
-    assert machine.cpu.sb_stats.invalidated_blocks > killed_before
     assert machine.cpu.superblock_info(addr) == []
+    if offset < BODY_LEN - 1:
+        assert stats.invalidated_blocks > killed_before
 
     # replay the same patch at the same warm point per-instruction
     ref = Machine(_IMAGE, MachineConfig(superblocks=False))
@@ -177,11 +192,16 @@ def test_patch_any_offset_drops_jit_block(offset):
     assert ref.cpu.pc == machine.cpu.pc
     ref.mem.write_word(addr, encode(Insn(Op.J, imm=done >> 2)))
     assert _finish(machine) == _finish(ref)
+    assert stats.invalidated_blocks > killed_before
+    assert stats.retargeted_blocks == 0
 
 
 def test_store_inside_jit_block_takes_effect():
-    """A JIT'd block whose own store rewrites its body side-exits and
-    re-dispatches the patched words (the cw-generation guard)."""
+    """A JIT'd block that loads a word of its own body and stores it
+    back changes no code: the store is no code write, so it kills no
+    block, and the run still equals per-instruction execution.
+    (``test_store_inside_tier0_block_rewrites_later_word`` covers a
+    store that does change a later word.)"""
     src = """
         .global main
     main:
@@ -203,7 +223,12 @@ def test_store_inside_jit_block_takes_effect():
         machine = Machine(image, config)
         machine.run()
         results.append((machine.cpu.icount, machine.cpu.cycles,
-                        machine.output_text))
+                        machine.output_text, list(machine.cpu.regs)))
+        if config.superblocks:
+            # nothing else writes code in this run
+            stats = machine.cpu.sb_stats
+            assert stats.fused_blocks > 0
+            assert (stats.code_writes, stats.invalidated_blocks) == (0, 0)
     assert results[0] == results[1]
 
 
@@ -431,6 +456,243 @@ def test_repatched_terminator_rebinds_without_codegen():
     ref = Machine(_IMAGE, MachineConfig(superblocks=False))
     warm_and_patch(ref)
     assert _finish(machine) == _finish(ref)
+
+
+# -- a code write costs only what it changes --------------------------
+
+#: A loop whose back edge is a ``j`` ending its own warm block.
+J_SRC = """
+    .global main
+    .global body
+    .global alt
+main:
+    li   s0, 5
+    li   s1, 0
+loop:
+    addi s1, s1, 3
+    subi s0, s0, 1
+    beq  s0, zero, done
+body:
+    slli t0, s1, 1
+    xori s1, t0, 0x21
+    j    loop
+alt:
+    addi s1, s1, 7
+    j    loop
+done:
+    mv   a0, s1
+    syscall putint
+    li   a0, 0
+    ret
+"""
+
+#: A loop body longer than FUSE_LIMIT: the block at ``loop`` is cut
+#: by the limit and has no terminator.
+LONG_SRC = """
+    .global main
+    .global loop
+main:
+    li   s0, 3
+    j    loop
+loop:
+""" + "    addi t0, t0, 1\n" * 70 + """
+    subi s0, s0, 1
+    bne  s0, zero, loop
+    mv   a0, t0
+    syscall putint
+    li   a0, 0
+    ret
+"""
+
+#: A block cut by a trap-class word: ``loop`` fuses three words and
+#: stops before the ``syscall``.
+TRAP_SRC = """
+    .global main
+    .global loop
+main:
+    li   s0, 3
+    li   t0, 0
+loop:
+    addi t0, t0, 1
+    addi t0, t0, 2
+    mv   a0, t0
+    syscall putint
+    subi s0, s0, 1
+    bne  s0, zero, loop
+    li   a0, 0
+    ret
+"""
+
+_J_IMAGE = assemble_and_link(J_SRC, "jloop")
+_LONG_IMAGE = assemble_and_link(LONG_SRC, "long")
+_TRAP_IMAGE = assemble_and_link(TRAP_SRC, "trapcut")
+
+
+def _third_arrival(image, symbol: str) -> int:
+    """Instructions until the third arrival at *symbol*, which each
+    test below places on a block boundary: by then the block starting
+    there has run at least once."""
+    machine = Machine(image, _MODES["per_insn"])
+    pc, seen = image.symbols[symbol], 0
+    while True:
+        if machine.cpu.pc == pc:
+            seen += 1
+            if seen == 3:
+                return machine.cpu.icount
+        machine.cpu.step()
+
+
+def _counts(cpu) -> dict:
+    return {"killed": cpu.sb_stats.invalidated_blocks,
+            "retargeted": cpu.sb_stats.retargeted_blocks,
+            "codegen": cpu.jit_stats.jit_codegen}
+
+
+def _patch_warm(image, symbol: str, patch, steps: int):
+    """Run *image* to the third arrival at *symbol* under the JIT and
+    per instruction, apply ``patch(mem)`` to both, run *steps* more
+    instructions (one block) and finish.  Both runs must agree on exit
+    code, instructions, cycles, output and registers.  Returns the JIT
+    CPU's :func:`_counts` before the patch, after it and after the
+    *steps*."""
+    warm = _third_arrival(image, symbol)
+    results, marks = [], []
+    for config in (_MODES["jit"], _MODES["per_insn"]):
+        machine = Machine(image, config)
+        cpu = machine.cpu
+        with pytest.raises(CycleLimitExceeded):
+            cpu.run(max_instructions=warm)
+        assert cpu.pc == image.symbols[symbol]
+        marks.append(_counts(cpu))
+        patch(machine.mem)
+        marks.append(_counts(cpu))
+        with pytest.raises(CycleLimitExceeded):
+            cpu.run(max_instructions=warm + steps)
+        assert cpu.icount == warm + steps
+        marks.append(_counts(cpu))
+        results.append(_finish(machine))
+    assert results[0] == results[1]
+    return marks[:3]
+
+
+def _retarget_branch(mem):
+    # bne s0, zero, loop -> bne s0, zero, loop + 4
+    site = _IMAGE.symbols["loop"] + 4 * (BODY_LEN - 1)
+    word = mem.read_word(site)
+    mem.write_word(site, patch_branch_disp(word, site, site - 20))
+
+
+def _retarget_branch_byte(mem):
+    # the low displacement byte alone: -7 words -> -6 words
+    site = _IMAGE.symbols["loop"] + 4 * (BODY_LEN - 1)
+    mem.write_byte(site, mem.read_byte(site) + 1)
+
+
+def _retarget_jump(mem):
+    site = _J_IMAGE.symbols["body"] + 8
+    mem.write_word(site, patch_jump_target(mem.read_word(site),
+                                           _J_IMAGE.symbols["alt"]))
+
+
+@pytest.mark.parametrize("image,symbol,patch,steps", [
+    (_IMAGE, "loop", _retarget_branch, BODY_LEN),
+    (_IMAGE, "loop", _retarget_branch_byte, BODY_LEN),
+    (_J_IMAGE, "body", _retarget_jump, 3),
+], ids=["B", "B-byte", "J"])
+def test_retargeted_terminator_rebinds_in_place(image, symbol, patch,
+                                                steps):
+    """A backpatch of a warm block's exit field kills nothing at the
+    write; the block's next dispatch rebinds it to the new target from
+    the compiled shape, without codegen."""
+    before, written, ran = _patch_warm(image, symbol, patch, steps)
+    assert written == before
+    assert ran == dict(before, retargeted=before["retargeted"] + 1)
+
+
+def _terminator_opcode(mem):
+    site = _IMAGE.symbols["loop"] + 4 * (BODY_LEN - 1)
+    mem.write_word(site, encode(Insn(Op.BEQ, rs1=S0, imm=-7)))
+
+
+def _terminator_register(mem):
+    site = _IMAGE.symbols["loop"] + 4 * (BODY_LEN - 1)
+    mem.write_word(site, encode(Insn(Op.BNE, rs1=S0, rs2=S0, imm=-7)))
+
+
+def _terminator_byte(mem):
+    # byte 2 holds rs2: bne s0, zero -> bne s0, s0
+    site = _IMAGE.symbols["loop"] + 4 * (BODY_LEN - 1)
+    mem.write_byte(site + 2, (mem.read_byte(site + 2) & 0xE0) | S0)
+
+
+def _cut_by_limit(mem):
+    # the last of FUSE_LIMIT - 1 addi words: the same bits as a branch
+    # displacement change, but in an I-format immediate
+    site = _LONG_IMAGE.symbols["loop"] + 4 * (FUSE_LIMIT - 2)
+    mem.write_word(site, encode(Insn(Op.ADDI, rd=T0, rs1=T0, imm=2)))
+
+
+def _cut_by_trap(mem):
+    # the mv before the syscall
+    site = _TRAP_IMAGE.symbols["loop"] + 8
+    mem.write_word(site, encode(Insn(Op.ADDI, rd=A0, rs1=T0, imm=100)))
+
+
+@pytest.mark.parametrize("image,patch,steps", [
+    (_IMAGE, _terminator_opcode, BODY_LEN),
+    (_IMAGE, _terminator_register, BODY_LEN),
+    (_IMAGE, _terminator_byte, BODY_LEN),
+    (_LONG_IMAGE, _cut_by_limit, FUSE_LIMIT - 1),
+    (_TRAP_IMAGE, _cut_by_trap, 3),
+], ids=["opcode", "register", "byte", "fuse-limit", "trap-cut"])
+def test_last_word_rewrite_rebuilds_block(image, patch, steps):
+    """Any other change to a block's last word — a terminator's opcode
+    or register field, or any field of a block with no terminator (cut
+    by FUSE_LIMIT or by a trap-class word) — leaves the block stale at
+    the write and kills and re-scans it at its next dispatch.  A write
+    that missed the last word would kill at the write instead."""
+    before, written, ran = _patch_warm(image, "loop", patch, steps)
+    assert written == before
+    assert ran["killed"] == before["killed"] + 1
+    assert ran["retargeted"] == before["retargeted"]
+
+
+def test_stale_block_written_in_prefix_is_killed():
+    """A block left stale by a retarget is still killed at the write
+    when a later write changes its prefix, and is never rebound."""
+    def patch(mem):
+        _retarget_branch(mem)
+        # slli t1, t0, 1 -> slli t1, t0, 2
+        slli = _IMAGE.symbols["loop"] + 4
+        mem.write_word(slli, encode(Insn(Op.SLLI, rd=T0 + 1, rs1=T0,
+                                         imm=2)))
+
+    before, written, ran = _patch_warm(_IMAGE, "loop", patch, BODY_LEN)
+    # the main.. and loop.. blocks both cover the prefix word
+    assert written == dict(before, killed=before["killed"] + 2)
+    assert ran["retargeted"] == before["retargeted"]
+
+
+def test_introspection_reports_live_entries_only():
+    """Blocks made stale by a write leave the census and the
+    superblock report at once; a single-word entry is still reported."""
+    machine = _warm_jit_machine()
+    cpu = machine.cpu
+    main, loop = _IMAGE.symbols["main"], _IMAGE.symbols["loop"]
+    census = cpu.superblock_census()
+    _retarget_branch(machine.mem)
+    after = cpu.superblock_census()
+    assert cpu.superblock_info(loop + 4) == []
+    assert after["blocks"] == census["blocks"] - 2
+    assert after["tiers"] == dict(census["tiers"],
+                                  jit=census["tiers"]["jit"] - 2)
+    assert not {main, loop} & {e["start"] for e in after["longest"]}
+    _finish(machine)
+    done = _IMAGE.symbols["done"]  # add a0, s1, zero; then a syscall
+    assert cpu.superblock_info(done) == [{
+        "start": done, "end": done + 4, "tier": "single",
+        "instructions": 1, "target": None, "source": None,
+        "words": None}]
 
 
 # -- compiled code is shared across CPUs ------------------------------

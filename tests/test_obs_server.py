@@ -265,6 +265,8 @@ def test_admin_rejects_bad_args():
     old_knob = ctl.post("set", {"jit": "all"})
     misspelt = ctl.post("set", {"prefetch_depth": 2, "prefetch_dpeth": 2})
     bad_type = ctl.post("resize", {"tcache_size": None})
+    # a valid policy with an invalid depth: rejected as a whole
+    half_bad = ctl.post("set", {"policy": "nhit", "prefetch_depth": -1})
     assert system.machine.cpu.run(2_000_000_000) == 0
     assert system.machine.output_text == reference
     assert bad_depth.error is not None
@@ -273,10 +275,12 @@ def test_admin_rejects_bad_args():
     assert "unknown field 'jit'" in old_knob.error
     assert "unknown field 'prefetch_dpeth'" in misspelt.error
     assert bad_type.error is not None
+    assert "prefetch_depth must be >= 0" in half_bad.error
     assert ctl.applied == 0
     assert system.cc.prefetch_depth == 0
+    assert system.cc.policy == "fifo"
     # failed commands still bill their MC service round trip
-    assert system.stats.admin_commands == 6
+    assert system.stats.admin_commands == 7
 
 
 def test_resize_resets_policy_state():

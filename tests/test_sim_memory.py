@@ -95,6 +95,39 @@ def test_code_write_hook_fires_on_executable_only():
     assert "bad" not in events
 
 
+@pytest.mark.parametrize("base", [0x1000, 0x3001],
+                         ids=["views", "unaligned-region"])
+def test_code_write_hook_only_when_a_byte_changes(base):
+    """Each writer calls no hook when every byte it stores is already
+    there, and exactly one hook call when any byte changes — through
+    the word/half views and through a region without them."""
+    mem = Memory()
+    region = mem.map_region(Region("code", base, 0x200, executable=True))
+    assert (region.view32 is None) == (base == 0x3001)
+    events = []
+    mem.code_write_hooks.append(lambda a, n: events.append((a, n)))
+    at = (base + 3) & ~3
+    writes = [
+        (mem.write_word, at + 0x40, 0xA1B2C3D4, 0xA1B2C3D5, 4),
+        (mem.write_half, at + 0x80, 0xB1B2, 0x01B2, 2),
+        (mem.write_byte, at + 0xC0, 0xC1, 0xC2, 1),
+        (mem.write_bytes, at + 0x100, b"\x01\x02\x03\x04\x05",
+         b"\x01\x02\x03\x04\x06", 5),
+    ]
+    for write, addr, first, changed, size in writes:
+        write(addr, first)
+        assert events == [(addr, size)]
+        write(addr, first)
+        assert events == [(addr, size)]
+        write(addr, changed)
+        assert events == [(addr, size)] * 2
+        events.clear()
+    assert mem.read_word(at + 0x40) == 0xA1B2C3D5
+    assert mem.read_half(at + 0x80) == 0x01B2
+    assert mem.read_byte(at + 0xC0) == 0xC2
+    assert mem.read_bytes(at + 0x100, 5) == b"\x01\x02\x03\x04\x06"
+
+
 def test_region_named():
     mem = make_mem()
     assert mem.region_named("rom").base == 0x4000
