@@ -4,7 +4,7 @@
 Usage::
 
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload thrash \\
-        --pairs 10 --seed 1701 [--seconds S] [--out FILE]
+        --pairs 10 --seed 1701 [--out FILE]
 
 Each directory is a checkout with its own ``bench/``.  Pair *i* runs
 ``bench/run.py --workload W --seed S+i --trace 0`` once in each
@@ -17,12 +17,11 @@ median change in percent, the pairs the change won (ties count for
 neither side), and whether the change passes the rule for a claimed
 gain: better in at least 90% of the pairs (9 of 10), with medians
 further apart than the parent's interquartile range.  The last column
-checks the metric's regression bound: ``worse`` when the change's
-median is worse than the parent's by more than the bound,
-``unresolved`` when either side's interquartile range is wider than
-the bound (unless every change run beats every parent run), else
-``ok``.  It also prints each side's error rate.  It reads nothing but
-the result line that ``bench/run.py`` prints last.
+is CHANGE_DIR's ``bench/compare.py`` verdict against the metric's
+regression bound (regressed / unresolved / improved / ok), computed by
+that file's own ``quartiles`` and ``verdict``.  It also prints each
+side's error rate.  It reads nothing but the result line that
+``bench/run.py`` prints last.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -39,14 +37,11 @@ from pathlib import Path
 WIN_SHARE = 0.9
 
 
-def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float | None) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One ``bench/run.py --workload`` measurement in *checkout*: its
     result line as a dict."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True,
                           text=True)
     lines = proc.stdout.strip().splitlines()
@@ -56,36 +51,15 @@ def run_once(checkout: Path, workload: str, seed: int,
     return json.loads(lines[-1])
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
-
-
-def verdict(parent: list[float], change: list[float], better: str,
-            bound: float) -> dict:
-    """Medians, quartiles, pairs won, the claimed-gain rule and the
-    regression bound for one metric (*better* is ``"lower"`` or
-    ``"higher"``; *bound* is a fraction of the parent's median)."""
+def gain(parent: list[float], change: list[float], better: str,
+         quartiles) -> tuple[int, bool]:
+    """Pairs the change won, and whether it passes the claimed-gain
+    rule (*better* is ``"lower"`` or ``"higher"``)."""
     sign = 1 if better == "lower" else -1
     won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-    pq, cq = quartiles(parent), quartiles(change)
-    gap = sign * (pq[1] - cq[1])  # > 0: the change is better
-    need = math.ceil(WIN_SHARE * len(parent))
-    limit = bound * abs(pq[1])
-    all_better = max(sign * c for c in change) < min(sign * p for p in parent)
-    if max(pq[2] - pq[0], cq[2] - cq[0]) > limit and not all_better:
-        regression = "unresolved"
-    else:
-        regression = "worse" if -gap > limit else "ok"
-    return {
-        "parent": pq, "change": cq,
-        "delta_pct": 100 * (cq[1] - pq[1]) / pq[1] if pq[1] else 0.0,
-        "won": won, "pairs": len(parent),
-        "gain": won >= need and gap > pq[2] - pq[0],
-        "bound": regression,
-    }
+    p1, pm, p3 = quartiles(parent)
+    gap = sign * (pm - quartiles(change)[1])  # > 0: the change is better
+    return won, won >= math.ceil(WIN_SHARE * len(parent)) and gap > p3 - p1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,20 +71,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True,
                         help="pair i uses seed SEED + i on both sides")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="timed window per run (bench/run.py's "
-                             "default if omitted)")
     parser.add_argument("--out", type=Path, default=None,
                         help="also write every result line here as JSON")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    sys.path.insert(0, str(args.change.resolve() / "bench"))
+    import compare  # the change's own bound rule
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run_once(getattr(args, side), args.workload,
-                                       args.seed + i, args.seconds))
+                                       args.seed + i))
         line = "  ".join(
             f"{side} {runs[side][-1]['metrics']['wall_s_p50']['value']:.4f}"
             for side in order if "wall_s_p50" in runs[side][-1]["metrics"])
@@ -126,13 +99,16 @@ def main(argv: list[str] | None = None) -> int:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                   for side in runs}
-        v = verdict(values["parent"], values["change"], metric["better"],
-                    metric["bound"])
+        parent, change = values["parent"], values["change"]
+        won, passed = gain(parent, change, metric["better"],
+                           compare.quartiles)
+        delta, word = compare.verdict(parent, change, metric["bound"],
+                                      metric["better"], False)
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
-                 for q in (v["parent"], v["change"])]
+                 for q in map(compare.quartiles, (parent, change))]
         print(f"{name:<13} {cells[0]:<30} {cells[1]:<30} "
-              f"{v['delta_pct']:>+7.1f}% {v['won']:>2}/{v['pairs']:<3} "
-              f"{'yes' if v['gain'] else 'no ':<4}  {v['bound']}")
+              f"{100 * delta:>+7.1f}% {won:>2}/{len(parent):<3} "
+              f"{'yes' if passed else 'no ':<4}  {word}")
     for side in runs:
         attempted = sum(r["attempted"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])

@@ -8,8 +8,6 @@ disassembler (:mod:`repro.isa.disasm`).
 """
 
 from .encoding import (
-    BRANCH_DISP_MASK,
-    JUMP_TARGET_MASK,
     DecodeError,
     EncodingError,
     Insn,
@@ -63,9 +61,8 @@ from .registers import (
 
 __all__ = [
     "A0", "A1", "A2", "A3", "ARG_REGS", "AT", "BLOCK_TERMINATORS",
-    "BRANCH_DISP_MASK", "BRANCH_OPS", "CALLEE_SAVED", "CALLER_SAVED",
-    "DecodeError", "EncodingError", "FP", "Fmt", "GP", "Insn", "InsnSpec",
-    "JUMP_TARGET_MASK", "KT",
+    "BRANCH_OPS", "CALLEE_SAVED", "CALLER_SAVED", "DecodeError",
+    "EncodingError", "FP", "Fmt", "GP", "Insn", "InsnSpec", "KT",
     "MEMORY_OPS", "MNEMONICS", "NUM_REGS", "Op",
     "RA", "REG_NAMES", "S0", "SP", "SPECS", "Sys", "T0", "Trap", "ZERO",
     "branch_target", "decode", "disassemble_range", "disassemble_word",

@@ -19,11 +19,6 @@ IMM16_MAX = (1 << 15) - 1
 UIMM16_MAX = (1 << 16) - 1
 TARGET26_MAX = (1 << 26) - 1
 IMM20_MAX = (1 << 20) - 1
-#: The exit-target fields the rewriter patches: a B-format word's word
-#: displacement (:func:`patch_branch_disp`) and a J-format word's
-#: absolute word target (:func:`patch_jump_target`).
-BRANCH_DISP_MASK = 0xFFFF
-JUMP_TARGET_MASK = 0x03FFFFFF
 
 
 class EncodingError(ValueError):
@@ -162,7 +157,7 @@ def patch_branch_disp(word: int, site_pc: int, target_addr: int) -> int:
     if not IMM16_MIN <= disp <= IMM16_MAX:
         raise EncodingError(
             f"branch at {site_pc:#x} cannot reach {target_addr:#x}")
-    return (word & ~BRANCH_DISP_MASK) | (disp & BRANCH_DISP_MASK)
+    return (word & 0xFFFF0000) | (disp & 0xFFFF)
 
 
 def patch_jump_target(word: int, target_addr: int) -> int:
@@ -172,14 +167,14 @@ def patch_jump_target(word: int, target_addr: int) -> int:
     t26 = target_addr >> 2
     if not 0 <= t26 <= TARGET26_MAX:
         raise EncodingError(f"jump target out of range: {target_addr:#x}")
-    return (word & ~JUMP_TARGET_MASK) | t26
+    return (word & 0xFC000000) | t26
 
 
 def branch_target(word: int, site_pc: int) -> int:
     """Compute the byte target of a B-format branch word at *site_pc*."""
-    return site_pc + 4 + (sign_extend16(word & BRANCH_DISP_MASK) << 2)
+    return site_pc + 4 + (sign_extend16(word & 0xFFFF) << 2)
 
 
 def jump_target(word: int) -> int:
     """Compute the byte target of a J-format word."""
-    return (word & JUMP_TARGET_MASK) << 2
+    return (word & 0x03FFFFFF) << 2

@@ -32,15 +32,12 @@ host speed, never simulated counters.
 
 A write that changes bytes of an executable region (dynamic binary
 rewriting by the SoftCache) drops the per-address closures and
-single-word dispatch entries of the written words, and the fused blocks
-it overlaps go stale, so patched branch words and ``debug_poison``
+single-word dispatch entries of the written words *and every fused
+block overlapping them*, so patched branch words and ``debug_poison``
 BREAK words take effect exactly like they would on real hardware with
-coherent fetch.  A block whose span the write touches anywhere but its
-last word is killed at once.  A write confined to its last word only
-drops its dispatch entry: at the next dispatch the block is rebound
-through the content-keyed JIT caches when the last word changed only
-in its exit-target field (a backpatch or an unlink), else killed and
-re-scanned.  A store executed from inside a fused block re-checks a
+coherent fetch.  A write that stores the bytes already there is no
+code write (:class:`~repro.sim.memory.Memory` calls no hook), so it
+costs nothing.  A store executed from inside a fused block re-checks a
 code-generation counter so even self-modifying stores fall back to
 fresh decode mid-block.
 
@@ -88,7 +85,6 @@ from .jit import (
     fill,
     jit_codegen,
     split_target,
-    target_field,
 )
 from . import jitcache
 from .memory import Memory
@@ -157,14 +153,9 @@ class SuperblockStats:
     #: Dispatch entries that stayed single per-instruction closures
     #: (TRAP/SYSCALL/BREAK/HALT words, lone control transfers).
     single_closures: int = 0
-    #: Fused blocks killed because a code write changed their span: at
-    #: the write, or at the next dispatch for a last-word change that
-    #: was not a retarget.
+    #: Fused blocks killed because a code write changed a byte of
+    #: their span.
     invalidated_blocks: int = 0
-    #: Fused blocks rebound at their next dispatch, without a re-scan,
-    #: after a code write changed only their last word's exit-target
-    #: field (a backpatch or an unlink of the exit).
-    retargeted_blocks: int = 0
     #: Whole-cache flushes (tcache flush / invalidate_all_decoded).
     flushes: int = 0
     #: Executable-region writes that changed a byte (hook calls).
@@ -219,9 +210,7 @@ class CPU:
         #: Dispatch table: block-start pc -> closure, for live fused
         #: blocks and single-word entries alike.
         self._blocks: dict[int, Callable[[int], int]] = {}
-        #: Fused block start -> end address (exclusive) of its span.  A
-        #: block missing from ``_blocks`` is stale: a code write changed
-        #: its last word, and its next dispatch rebinds or kills it.
+        #: Fused block start -> end address (exclusive) of its span.
         self._block_span: dict[int, int] = {}
         #: 64-byte bucket (addr >> _COVER_SHIFT) -> set of fused block
         #: starts whose span touches the bucket; consumers filter
@@ -241,7 +230,7 @@ class CPU:
         #: cycles.
         self._sb_jit_fns: dict[tuple[int, ...], Callable[[int], int]] = {}
         #: Fused block start -> content key of the block registered
-        #: there (stale rebinding, introspection).
+        #: there (introspection).
         self._block_key: dict[int, tuple[int, ...]] = {}
         #: Interned id of this CPU's per-op cost table; part of the
         #: module-level codegen cache key (costs are baked into the
@@ -293,9 +282,6 @@ class CPU:
         write is killed, not just the block starting there, so
         backpatched branch words and ``debug_poison`` BREAK words in
         the middle of a fused run take effect on the next dispatch.
-        The one exception is a write confined to a block's last word:
-        it drops only the dispatch entry, and :meth:`_build_block`
-        rebinds or kills the stale block when it is next entered.
         """
         self._code_gen[0] += 1
         self.sb_stats.code_writes += 1
@@ -316,10 +302,7 @@ class CPU:
                 for start in tuple(starts):
                     end = span[start]
                     if start < hi and end > lo:
-                        if lo >= end - 4:
-                            drop(start, None)
-                        else:
-                            kill(start)
+                        kill(start)
 
     def _kill_block(self, start: int) -> None:
         self._blocks.pop(start, None)
@@ -382,10 +365,7 @@ class CPU:
     def _build_block(self, pc: int) -> Callable[[int], int]:
         """Make the dispatch entry for *pc*.
 
-        A stale fused block at *pc* whose last word changed only in its
-        exit-target field is rebound to its new content key through
-        :meth:`_jit_for_key`; any other stale block is killed first.
-        Then the word at *pc* is classified: a control transfer or a
+        The word at *pc* is classified first: a control transfer or a
         trap-class word gets its per-instruction closure as a single
         entry, as does a straight-line word that fusion would leave
         alone.  Otherwise the straight-line run from *pc* (up to the
@@ -398,18 +378,6 @@ class CPU:
         region = mem.region_at(pc)  # raises MemoryFault if unmapped
         if pc & 3 or not region.executable:
             return self._decode_at(pc)  # raises the precise FetchFault
-        key = self._block_key.get(pc)
-        if key is not None:
-            # stale: only its last word can differ from the key
-            word = mem.read_word(self._block_span[pc] - 4)
-            old = key[-1]
-            if not (word ^ old) & ~target_field(old):
-                key = key[:-1] + (word,)
-                fn = self._blocks[pc] = self._jit_for_key(key, pc)
-                self._block_key[pc] = key
-                self.sb_stats.retargeted_blocks += 1
-                return fn
-            self._kill_block(pc)
         view = region.view32
         i0 = (pc - region.base) >> 2
         first = view[i0] if view is not None else mem.read_word(pc)
@@ -523,16 +491,16 @@ class CPU:
     def superblock_info(self, pc: int) -> list[dict]:
         """Describe every live dispatch entry that covers *pc* (for
         ``repro debug --dump-superblock``), by start: start/end, tier
-        ("jit" for a fused block, "single" for one per-instruction
-        closure at *pc*), instruction count, the exit ``target`` (see
+        ("jit" for a fused block, "single" for the per-instruction
+        closure of the word holding *pc*), instruction count, the exit
+        ``target`` (see
         :func:`_exit_target`) and, for fused blocks, the words and the
-        generated source.  Stale fused blocks are not live."""
-        blocks = self._blocks
+        generated source."""
         span = self._block_span
         out: list[dict] = []
         for start in sorted(
                 s for s in self._block_cover.get(pc >> _COVER_SHIFT, ())
-                if s in blocks and s <= pc < span[s]):
+                if s <= pc < span[s]):
             key = self._block_key[start]
             cached = _SB_JIT_COMPILED.get(
                 (self._sb_cost_tag, self.image_tag, split_target(key)[0]))
@@ -543,10 +511,11 @@ class CPU:
                 "source": cached[2] if cached is not None else None,
                 "words": list(key),
             })
-        if pc in blocks and pc not in span:
-            out.append({"start": pc, "end": pc + 4, "tier": "single",
-                        "instructions": 1, "target": None,
-                        "source": None, "words": None})
+        single = pc & ~3
+        if single in self._blocks and single not in span:
+            out.append({"start": single, "end": single + 4,
+                        "tier": "single", "instructions": 1,
+                        "target": None, "source": None, "words": None})
         return out
 
     def superblock_census(self, top: int = 10) -> dict:
@@ -556,17 +525,14 @@ class CPU:
         live entries are fused JIT blocks ("jit") and how many single
         per-instruction closures ("single"), the codegen count, and
         the *top* longest fused blocks by instruction count (ties by
-        start address).  Stale fused blocks are not live.  Read-only
-        over the dispatch tables.
+        start address).  Read-only over the dispatch tables.
         """
-        key_get = self._block_key.get
-        starts = list(self._blocks)
-        fused = [(start, key_get(start)) for start in starts]
-        fused = [entry for entry in fused if entry[1] is not None]
-        fused.sort(key=lambda e: (-len(e[1]), e[0]))
+        blocks = len(self._blocks)
+        fused = sorted(self._block_key.items(),
+                       key=lambda e: (-len(e[1]), e[0]))
         return {
-            "blocks": len(starts),
-            "tiers": {"jit": len(fused), "single": len(starts) - len(fused)},
+            "blocks": blocks,
+            "tiers": {"jit": len(fused), "single": blocks - len(fused)},
             "jit_codegen": self.jit_stats.jit_codegen,
             "longest": [
                 {"start": s, "end": s + 4 * len(k),

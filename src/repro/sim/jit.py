@@ -54,8 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..isa import (
-    BRANCH_DISP_MASK,
-    JUMP_TARGET_MASK,
     MEMORY_OPS,
     SPECS,
     Fmt,
@@ -63,6 +61,8 @@ from ..isa import (
     branch_target,
     decode,
     jump_target,
+    patch_branch_disp,
+    patch_jump_target,
     to_signed32,
 )
 from ..isa.registers import RA
@@ -290,40 +290,28 @@ def _decode_word(word: int):
     return ins
 
 
-def target_field(word: int) -> int:
-    """Mask of the exit-target field of a fused block's last *word*:
-    the B-format displacement or the ``J``/``JAL`` target — the field
-    the SoftCache rewrites when it backpatches or unlinks an exit
-    (:func:`~repro.isa.patch_branch_disp`,
-    :func:`~repro.isa.patch_jump_target`) — and 0 for any other word.
-    Two last words that differ only under the mask give one shape."""
-    fmt = _decode_word(word).fmt
-    if fmt is Fmt.B:
-        return BRANCH_DISP_MASK
-    if fmt is Fmt.J:
-        return JUMP_TARGET_MASK
-    return 0
-
-
 def split_target(key: tuple[int, ...]) -> tuple[tuple[int, ...], int | None]:
     """Split a fused block's content key into ``(shape, target)``.
 
-    The *shape* is *key* with the terminator's target field
-    (:func:`target_field`) cleared, and keys every compiled artifact.
-    The *target* is what :func:`jit_codegen` leaves to the bind as
-    ``T``: the taken offset from the block entry for a conditional
-    branch, the absolute address for ``J``/``JAL``, and None for
-    ``JR``/``JALR``/``RET`` or a block with no terminator (whose shape
-    is the key itself).
+    The *shape* is *key* with the terminator's target field cleared —
+    the field the SoftCache rewrites when it backpatches or unlinks an
+    exit (:func:`~repro.isa.patch_branch_disp`,
+    :func:`~repro.isa.patch_jump_target`) — and keys every compiled
+    artifact.  The *target* is what :func:`jit_codegen` leaves to the
+    bind as ``T``: the taken offset from the block entry for a
+    conditional branch, the absolute address for ``J``/``JAL``, and
+    None for ``JR``/``JALR``/``RET`` or a block with no terminator
+    (whose shape is the key itself).
     """
     word = key[-1]
-    field = target_field(word)
-    if not field:
-        return key, None
-    shape = key[:-1] + (word & ~field,)
-    if field == BRANCH_DISP_MASK:
-        return shape, branch_target(word, 4 * (len(key) - 1))
-    return shape, jump_target(word)
+    fmt = _decode_word(word).fmt
+    if fmt is Fmt.B:
+        off = 4 * (len(key) - 1)
+        return (key[:-1] + (patch_branch_disp(word, off, off + 4),),
+                branch_target(word, off))
+    if fmt is Fmt.J:
+        return key[:-1] + (patch_jump_target(word, 0),), jump_target(word)
+    return key, None
 
 
 def jit_codegen(costs, insns, term):

@@ -171,19 +171,14 @@ def _finish(machine):
 def test_patch_any_offset_drops_jit_block(offset):
     """A ``j done`` backpatched over any body word of a warm JIT'd
     block redirects the loop exactly as fresh per-instruction decode
-    — and no live dispatch entry covers the word.  A patch of the
-    prefix kills both blocks at the write; one over the terminator
-    only drops their dispatch entries, and the changed opcode kills
-    the block when it is next dispatched."""
+    — and the block is gone from the dispatch table."""
     machine = _warm_jit_machine()
-    stats = machine.cpu.sb_stats
-    killed_before = stats.invalidated_blocks
+    killed_before = machine.cpu.sb_stats.invalidated_blocks
     addr = _IMAGE.symbols["loop"] + 4 * offset
     done = _IMAGE.symbols["done"]
     machine.mem.write_word(addr, encode(Insn(Op.J, imm=done >> 2)))
+    assert machine.cpu.sb_stats.invalidated_blocks > killed_before
     assert machine.cpu.superblock_info(addr) == []
-    if offset < BODY_LEN - 1:
-        assert stats.invalidated_blocks > killed_before
 
     # replay the same patch at the same warm point per-instruction
     ref = Machine(_IMAGE, MachineConfig(superblocks=False))
@@ -192,8 +187,6 @@ def test_patch_any_offset_drops_jit_block(offset):
     assert ref.cpu.pc == machine.cpu.pc
     ref.mem.write_word(addr, encode(Insn(Op.J, imm=done >> 2)))
     assert _finish(machine) == _finish(ref)
-    assert stats.invalidated_blocks > killed_before
-    assert stats.retargeted_blocks == 0
 
 
 def test_store_inside_jit_block_takes_effect():
@@ -458,7 +451,7 @@ def test_repatched_terminator_rebinds_without_codegen():
     assert _finish(machine) == _finish(ref)
 
 
-# -- a code write costs only what it changes --------------------------
+# -- rewriting a block's last word -----------------------------------
 
 #: A loop whose back edge is a ``j`` ending its own warm block.
 J_SRC = """
@@ -544,7 +537,6 @@ def _third_arrival(image, symbol: str) -> int:
 
 def _counts(cpu) -> dict:
     return {"killed": cpu.sb_stats.invalidated_blocks,
-            "retargeted": cpu.sb_stats.retargeted_blocks,
             "codegen": cpu.jit_stats.jit_codegen}
 
 
@@ -594,21 +586,6 @@ def _retarget_jump(mem):
                                            _J_IMAGE.symbols["alt"]))
 
 
-@pytest.mark.parametrize("image,symbol,patch,steps", [
-    (_IMAGE, "loop", _retarget_branch, BODY_LEN),
-    (_IMAGE, "loop", _retarget_branch_byte, BODY_LEN),
-    (_J_IMAGE, "body", _retarget_jump, 3),
-], ids=["B", "B-byte", "J"])
-def test_retargeted_terminator_rebinds_in_place(image, symbol, patch,
-                                                steps):
-    """A backpatch of a warm block's exit field kills nothing at the
-    write; the block's next dispatch rebinds it to the new target from
-    the compiled shape, without codegen."""
-    before, written, ran = _patch_warm(image, symbol, patch, steps)
-    assert written == before
-    assert ran == dict(before, retargeted=before["retargeted"] + 1)
-
-
 def _terminator_opcode(mem):
     site = _IMAGE.symbols["loop"] + 4 * (BODY_LEN - 1)
     mem.write_word(site, encode(Insn(Op.BEQ, rs1=S0, imm=-7)))
@@ -626,8 +603,7 @@ def _terminator_byte(mem):
 
 
 def _cut_by_limit(mem):
-    # the last of FUSE_LIMIT - 1 addi words: the same bits as a branch
-    # displacement change, but in an I-format immediate
+    # the last of the FUSE_LIMIT - 1 addi words the block holds
     site = _LONG_IMAGE.symbols["loop"] + 4 * (FUSE_LIMIT - 2)
     mem.write_word(site, encode(Insn(Op.ADDI, rd=T0, rs1=T0, imm=2)))
 
@@ -638,44 +614,37 @@ def _cut_by_trap(mem):
     mem.write_word(site, encode(Insn(Op.ADDI, rd=A0, rs1=T0, imm=100)))
 
 
-@pytest.mark.parametrize("image,patch,steps", [
-    (_IMAGE, _terminator_opcode, BODY_LEN),
-    (_IMAGE, _terminator_register, BODY_LEN),
-    (_IMAGE, _terminator_byte, BODY_LEN),
-    (_LONG_IMAGE, _cut_by_limit, FUSE_LIMIT - 1),
-    (_TRAP_IMAGE, _cut_by_trap, 3),
-], ids=["opcode", "register", "byte", "fuse-limit", "trap-cut"])
-def test_last_word_rewrite_rebuilds_block(image, patch, steps):
-    """Any other change to a block's last word — a terminator's opcode
-    or register field, or any field of a block with no terminator (cut
-    by FUSE_LIMIT or by a trap-class word) — leaves the block stale at
-    the write and kills and re-scans it at its next dispatch.  A write
-    that missed the last word would kill at the write instead."""
-    before, written, ran = _patch_warm(image, "loop", patch, steps)
-    assert written == before
-    assert ran["killed"] == before["killed"] + 1
-    assert ran["retargeted"] == before["retargeted"]
-
-
-def test_stale_block_written_in_prefix_is_killed():
-    """A block left stale by a retarget is still killed at the write
-    when a later write changes its prefix, and is never rebound."""
-    def patch(mem):
-        _retarget_branch(mem)
-        # slli t1, t0, 1 -> slli t1, t0, 2
-        slli = _IMAGE.symbols["loop"] + 4
-        mem.write_word(slli, encode(Insn(Op.SLLI, rd=T0 + 1, rs1=T0,
-                                         imm=2)))
-
-    before, written, ran = _patch_warm(_IMAGE, "loop", patch, BODY_LEN)
-    # the main.. and loop.. blocks both cover the prefix word
-    assert written == dict(before, killed=before["killed"] + 2)
-    assert ran["retargeted"] == before["retargeted"]
+@pytest.mark.parametrize("image,symbol,patch,steps,retarget", [
+    (_IMAGE, "loop", _retarget_branch_byte, BODY_LEN, True),
+    (_J_IMAGE, "body", _retarget_jump, 3, True),
+    (_IMAGE, "loop", _terminator_opcode, BODY_LEN, False),
+    (_IMAGE, "loop", _terminator_register, BODY_LEN, False),
+    (_IMAGE, "loop", _terminator_byte, BODY_LEN, False),
+    (_LONG_IMAGE, "loop", _cut_by_limit, FUSE_LIMIT - 1, False),
+    (_TRAP_IMAGE, "loop", _cut_by_trap, 3, False),
+], ids=["B-byte", "J", "opcode", "register", "byte", "fuse-limit",
+        "trap-cut"])
+def test_last_word_rewrite_rebuilds_block(image, symbol, patch, steps,
+                                          retarget):
+    """Any change to a warm block's last word — a retargeted
+    terminator (one byte of a B-format displacement, or a J target),
+    its opcode or a register field, or any field of a block with no
+    terminator (cut by FUSE_LIMIT or by a trap-class word) — kills the
+    block at the write, and its next dispatch re-scans it.  A retarget
+    binds the code already compiled for the block's shape, with no
+    codegen.  (``test_repatched_terminator_rebinds_without_codegen``
+    rewrites a whole B-format word.)"""
+    before, written, ran = _patch_warm(image, symbol, patch, steps)
+    assert written["killed"] > before["killed"]
+    assert ran["killed"] == written["killed"]
+    if retarget:
+        assert ran["codegen"] == before["codegen"]
 
 
 def test_introspection_reports_live_entries_only():
-    """Blocks made stale by a write leave the census and the
-    superblock report at once; a single-word entry is still reported."""
+    """Blocks killed by a write leave the census and the superblock
+    report at once; a single-word entry is reported for every byte of
+    its word."""
     machine = _warm_jit_machine()
     cpu = machine.cpu
     main, loop = _IMAGE.symbols["main"], _IMAGE.symbols["loop"]
@@ -689,10 +658,11 @@ def test_introspection_reports_live_entries_only():
     assert not {main, loop} & {e["start"] for e in after["longest"]}
     _finish(machine)
     done = _IMAGE.symbols["done"]  # add a0, s1, zero; then a syscall
-    assert cpu.superblock_info(done) == [{
-        "start": done, "end": done + 4, "tier": "single",
-        "instructions": 1, "target": None, "source": None,
-        "words": None}]
+    single = [{"start": done, "end": done + 4, "tier": "single",
+               "instructions": 1, "target": None, "source": None,
+               "words": None}]
+    assert cpu.superblock_info(done) == single
+    assert cpu.superblock_info(done + 2) == single
 
 
 # -- compiled code is shared across CPUs ------------------------------
