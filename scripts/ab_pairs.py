@@ -20,7 +20,7 @@ further apart than the parent's interquartile range.  The last column
 is CHANGE_DIR's ``bench/compare.py`` verdict against the metric's
 regression bound (regressed / unresolved / improved / ok), computed by
 that file's own ``quartiles`` and ``verdict``.  It also prints each
-side's error rate.  It reads nothing but the result line that
+side's error rate.  Of each run it reads only the result line that
 ``bench/run.py`` prints last.
 """
 
