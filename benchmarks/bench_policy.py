@@ -4,11 +4,11 @@ Two halves, written to ``BENCH_policy.json`` for CI to archive:
 
 * **Per-policy thrash gate** — the bench_misspath thrash workload
   (sensor, 768B tcache, local link, ``prefetch_depth 0``) run once
-  per policy.  At depth 0 no admission path executes and trrip ships
-  with ``preemptive_flush`` off, so every eviction-path policy must
-  land on the same simulated counts as fifo (asserted) and under the
-  same ``--floor-ms`` wall-clock floor: the policy layer may not tax
-  the seed hot path.  ``flush`` is reported but not floor-gated — it
+  per policy.  At depth 0 no admission path executes, so every
+  eviction-path policy must land on the same simulated counts as fifo
+  (asserted for fifo against the seed goldens) and under the same
+  ``--floor-ms`` wall-clock floor: the policy layer may not tax the
+  seed hot path.  ``flush`` is reported but not floor-gated — it
   re-translates ~46% more chunks by design and has never been inside
   the fifo-path floor.
 * **Policy × depth ablations** — the fig8-per-policy sweep
@@ -92,19 +92,13 @@ def _sensor_sweep(image, policies,
                   depths=(0, 2, 4)) -> list[dict]:
     """Block-granularity admission sweep: sensor on a 1KiB tcache."""
     from repro.net import LinkModel
-    from repro.profiling import temperature_for_image
 
-    temperature = (temperature_for_image(image)
-                   if "trrip" in policies else None)
     rows = []
     for policy in policies:
-        params = ({"temperature": temperature}
-                  if policy == "trrip" else None)
         for depth in depths:
             system = SoftCacheSystem(image, SoftCacheConfig(
-                tcache_size=1024, policy=policy, policy_params=params,
-                prefetch_depth=depth, link=LinkModel(),
-                record_timeline=False))
+                tcache_size=1024, policy=policy, prefetch_depth=depth,
+                link=LinkModel(), record_timeline=False))
             report = system.run()
             s = system.stats
             rows.append({

@@ -24,8 +24,7 @@ from .softcache import SoftCacheConfig, SoftCacheSystem, policy_names
 from .workloads import WORKLOADS, build_workload
 
 
-def _softcache_config(args, recorder=None,
-                      policy_params=None) -> SoftCacheConfig:
+def _softcache_config(args, recorder=None) -> SoftCacheConfig:
     """The SoftCacheConfig shared by run/trace/debug/fleet."""
     dcache_config = None
     if getattr(args, "dcache", 0):
@@ -40,30 +39,11 @@ def _softcache_config(args, recorder=None,
                                      seed=getattr(args, "seed", 0))
     return SoftCacheConfig(
         tcache_size=args.tcache, granularity=args.granularity,
-        policy=args.policy, policy_params=policy_params,
-        link=link, data_cache=dcache_config,
+        policy=args.policy, link=link, data_cache=dcache_config,
         prefetch_depth=args.prefetch_depth,
         debug_poison=getattr(args, "poison", False),
         recorder=recorder, fault_plan=fault_plan,
         update_at=tuple(getattr(args, "update_at", None) or ()))
-
-
-def _resolve_policy_params(policy: str, image) -> dict | None:
-    """Policy constructor params a CLI run can derive from the image.
-
-    ``trrip`` wants the profiler's temperature signal, so (like
-    ``--tcache-size auto``) it costs one native profiling run up
-    front; every other policy needs nothing.
-    """
-    if policy != "trrip":
-        return None
-    from .profiling import temperature_for_image
-    tm = temperature_for_image(image)
-    print(f"[policy] trrip temperatures from the profile: "
-          f"{tm.counts.get('hot', 0)} hot / "
-          f"{tm.counts.get('warm', 0)} warm / "
-          f"{tm.counts.get('cold', 0)} cold procs")
-    return {"temperature": tm}
 
 
 def _write_trace(recorder, out, *, process_names=None) -> None:
@@ -177,9 +157,7 @@ def _cmd_run(args) -> int:
     if getattr(args, "trace", None):
         from .obs import FlightRecorder
         recorder = FlightRecorder()
-    config = _softcache_config(
-        args, recorder=recorder,
-        policy_params=_resolve_policy_params(args.policy, image))
+    config = _softcache_config(args, recorder=recorder)
     server = _start_server(args)
     try:
         system = SoftCacheSystem(image, config)
@@ -246,9 +224,7 @@ def _cmd_trace(args) -> int:
                            arm_profile=(args.granularity == "proc"))
     _resolve_auto_tcache(args, image)
     recorder = FlightRecorder()
-    config = _softcache_config(
-        args, recorder=recorder,
-        policy_params=_resolve_policy_params(args.policy, image))
+    config = _softcache_config(args, recorder=recorder)
     system = SoftCacheSystem(image, config)
     report = system.run()
     out = args.out or f"trace-{args.workload}"
@@ -273,8 +249,7 @@ def _cmd_debug(args) -> int:
     image = build_workload(args.workload, args.scale,
                            arm_profile=(args.granularity == "proc"))
     _resolve_auto_tcache(args, image)
-    config = _softcache_config(
-        args, policy_params=_resolve_policy_params(args.policy, image))
+    config = _softcache_config(args)
     system = SoftCacheSystem(image, config)
     system.run()
     checked = check_consistency(system.cc)
@@ -300,8 +275,7 @@ def _cmd_fleet(args) -> int:
     if args.trace:
         from .obs import FlightRecorder
         recorder = FlightRecorder()
-    config = _softcache_config(
-        args, policy_params=_resolve_policy_params(args.policy, image))
+    config = _softcache_config(args)
     server = _start_server(args)
     try:
         result = simulate_fleet(image, args.clients, config,
@@ -391,13 +365,11 @@ def _cmd_chaos(args) -> int:
     policy = getattr(args, "policy", "fifo")
     for name in workloads:
         image = build_workload(name, args.scale)
-        params = _resolve_policy_params(policy, image)
         # poison evicted blocks in the baseline too: the digest covers
         # local RAM, so both runs must paint evictions the same way
         baseline = SoftCacheSystem(image, SoftCacheConfig(
             tcache_size=args.tcache, record_timeline=False,
-            debug_poison=True, policy=policy, policy_params=params,
-            update_at=update_at))
+            debug_poison=True, policy=policy, update_at=update_at))
         baseline.run()
         want = state_fn(baseline)
         for i in range(args.plans):
@@ -409,8 +381,7 @@ def _cmd_chaos(args) -> int:
                 system = SoftCacheSystem(image, SoftCacheConfig(
                     tcache_size=args.tcache, record_timeline=False,
                     debug_poison=True, recorder=recorder,
-                    policy=policy, policy_params=params,
-                    fault_plan=plan, update_at=update_at))
+                    policy=policy, fault_plan=plan, update_at=update_at))
                 system.run()
                 check_consistency(system.cc)
                 got = state_fn(system)
@@ -659,8 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("block", "ebb", "proc"))
         p.add_argument("--policy", default="fifo",
                        choices=policy_names(),
-                       help="replacement policy (trrip profiles the "
-                            "workload first for its temperature map)")
+                       help="replacement policy")
         p.add_argument("--prefetch-depth", type=int, default=0,
                        help="successor chunks batched onto each miss "
                             "reply (0 = paper-faithful protocol)")
@@ -813,8 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     admin.add_argument("--policy", default=None,
                        choices=policy_names(),
                        help="set: swap the replacement policy (fresh "
-                            "metadata; trrip runs without a "
-                            "temperature map when set mid-run)")
+                            "metadata)")
     admin.add_argument("--tcache-size", type=int, default=None,
                        help="resize: new effective tcache size, "
                             "bytes (flushes; applied at the next "

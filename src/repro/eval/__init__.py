@@ -32,14 +32,10 @@ from .fig6 import Fig6Curve, fig6, render_fig6
 from .fig7 import Fig7Curve, fig7, render_fig7
 from .fig8 import (
     Fig8PolicyRow,
-    Fig8PrefetchRow,
     Fig8Series,
     fig8,
     fig8_policy_ablation,
-    fig8_prefetch_ablation,
     render_fig8,
-    render_fig8_policies,
-    render_fig8_prefetch,
 )
 from .fig9 import Fig9Bar, PAPER_FIG9, fig9, render_fig9
 from .misc import (
@@ -65,17 +61,16 @@ from .tcache_replay import (
 
 __all__ = [
     "AblationRow", "DCacheRow", "Fig5Bar", "Fig6Curve", "Fig7Curve",
-    "Fig8PolicyRow", "Fig8PrefetchRow", "Fig8Series", "Fig9Bar",
+    "Fig8PolicyRow", "Fig8Series", "Fig9Bar",
     "NetCostResult", "PAPER_FIG5", "PAPER_FIG9",
     "PAPER_TABLE1", "ReplayResult", "Table1Row", "TraceRun",
     "ascii_table", "chunk_entry_sequence", "clear_trace_cache",
     "dcache_eval", "extra_instruction_ablation", "fan_workloads", "fig5",
-    "fig6", "fig7", "fig8", "fig8_policy_ablation",
-    "fig8_prefetch_ablation", "fig9", "fmt_bytes", "native_trace",
+    "fig6", "fig7", "fig8", "fig8_policy_ablation", "fig9",
+    "fmt_bytes", "native_trace",
     "netcost", "prewarm_traces",
     "render_ablation", "render_dcache", "render_fig5", "render_fig6",
-    "render_fig7", "render_fig8", "render_fig8_policies",
-    "render_fig8_prefetch", "render_fig9", "render_netcost",
+    "render_fig7", "render_fig8", "render_fig9", "render_netcost",
     "render_table1", "render_tagspace", "replay_tcache",
     "generate_report", "section_titles", "series_plot",
     "set_trace_cache_dir", "sweep_stale_cache_versions", "sweep_tcache",

@@ -66,78 +66,6 @@ def fig5(workload: str = "compress95", scale: float = 0.25,
     return bars
 
 
-@dataclass(frozen=True)
-class PrefetchBar:
-    """One depth setting of the successor-prefetch ablation."""
-
-    depth: int
-    cycles: int
-    relative_time: float        # normalized to the depth-0 run
-    miss_service_cycles: int
-    demand_translations: int
-    prefetch_installs: int
-    prefetch_hits: int
-    prefetch_drops: int
-    wasted_prefetch_bytes: int
-    link_exchanges: int
-
-
-def fig5_prefetch_ablation(workload: str = "compress95",
-                           scale: float = 0.05,
-                           tcache_size: int = 8 * 1024,
-                           depths: tuple[int, ...] = (0, 1, 2, 4, 8),
-                           granularity: str = "block",
-                           max_instructions: int = 600_000_000
-                           ) -> list[PrefetchBar]:
-    """Sweep ``prefetch_depth`` over the Figure 5 workload.
-
-    Unlike :func:`fig5` this uses the paper's *networked* link model
-    (default 10 Mbps Ethernet), because batching only pays when each
-    exchange carries real latency; depth 0 is the paper-faithful
-    baseline the other bars are normalized against.
-    """
-    from ..net import LinkModel
-
-    image = build_workload(workload, scale)
-    bars: list[PrefetchBar] = []
-    base_cycles: int | None = None
-    for depth in depths:
-        config = SoftCacheConfig(tcache_size=tcache_size,
-                                 granularity=granularity,
-                                 prefetch_depth=depth,
-                                 link=LinkModel(),
-                                 record_timeline=False)
-        system = SoftCacheSystem(image, config)
-        report = system.run(max_instructions)
-        if base_cycles is None:
-            base_cycles = report.cycles
-        s = system.stats
-        bars.append(PrefetchBar(
-            depth=depth, cycles=report.cycles,
-            relative_time=report.cycles / base_cycles,
-            miss_service_cycles=s.miss_service_cycles,
-            demand_translations=s.demand_translations,
-            prefetch_installs=s.prefetch_installs,
-            prefetch_hits=s.prefetch_hits,
-            prefetch_drops=s.prefetch_drops,
-            wasted_prefetch_bytes=s.wasted_prefetch_bytes,
-            link_exchanges=system.link_stats.exchanges))
-    return bars
-
-
-def render_fig5_prefetch(bars: list[PrefetchBar]) -> str:
-    rows = [[b.depth, b.cycles, f"{b.relative_time:.2f}",
-             b.miss_service_cycles, b.demand_translations,
-             b.prefetch_installs, b.prefetch_hits, b.prefetch_drops,
-             b.wasted_prefetch_bytes, b.link_exchanges] for b in bars]
-    return ascii_table(
-        ["depth", "cycles", "rel. time", "miss-svc cycles", "demand",
-         "prefetched", "pf hits", "pf drops", "wasted B", "exchanges"],
-        rows,
-        title="Figure 5 ablation: successor-prefetch depth "
-              "(networked link)")
-
-
 def render_fig5(bars: list[Fig5Bar]) -> str:
     rows = [[b.label, b.cycles, f"{b.relative_time:.2f}",
              b.translations, b.evictions] for b in bars]

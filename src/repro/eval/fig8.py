@@ -97,63 +97,6 @@ def fig8(workload: str = "adpcm_enc", scale: float = 0.35,
 
 
 @dataclass
-class Fig8PrefetchRow:
-    """One depth setting of the proc-granularity prefetch ablation."""
-
-    depth: int
-    cycles: int
-    relative_time: float
-    evictions: int
-    miss_service_cycles: int
-    demand_translations: int
-    prefetch_installs: int
-    prefetch_hits: int
-    wasted_prefetch_bytes: int
-
-
-def fig8_prefetch_ablation(workload: str = "adpcm_enc",
-                           scale: float = 0.35,
-                           memory: int | None = None,
-                           depths: tuple[int, ...] = (0, 1, 2, 4),
-                           max_instructions: int = 400_000_000
-                           ) -> list[Fig8PrefetchRow]:
-    """Sweep ``prefetch_depth`` in the Figure 8 paging regime.
-
-    Uses the middle of the derived CC memories (the one that pages
-    hardest) and the networked link, so the sweep answers: can callee
-    prefetch into a barely-too-small memory buy back miss time, and
-    how much of it is wasted when evictions outrun speculation?
-    """
-    from ..net import LinkModel
-
-    image = build_workload(workload, scale, arm_profile=True)
-    if memory is None:
-        memory = derive_memories(workload, scale)[0]
-    rows: list[Fig8PrefetchRow] = []
-    base_cycles: int | None = None
-    for depth in depths:
-        config = SoftCacheConfig(tcache_size=memory, granularity="proc",
-                                 policy="fifo", prefetch_depth=depth,
-                                 link=LinkModel(),
-                                 record_timeline=False)
-        system = SoftCacheSystem(image, config)
-        report = system.run(max_instructions)
-        if base_cycles is None:
-            base_cycles = report.cycles
-        s = system.stats
-        rows.append(Fig8PrefetchRow(
-            depth=depth, cycles=report.cycles,
-            relative_time=report.cycles / base_cycles,
-            evictions=s.evictions + s.blocks_flushed,
-            miss_service_cycles=s.miss_service_cycles,
-            demand_translations=s.demand_translations,
-            prefetch_installs=s.prefetch_installs,
-            prefetch_hits=s.prefetch_hits,
-            wasted_prefetch_bytes=s.wasted_prefetch_bytes))
-    return rows
-
-
-@dataclass
 class Fig8PolicyRow:
     """One (policy, depth) cell of the policy-ablation sweep."""
 
@@ -192,7 +135,6 @@ def fig8_policy_ablation(workload: str = "adpcm_enc",
     untouched.
     """
     from ..net import LinkModel
-    from ..profiling import temperature_for_image
     from ..softcache import policy_names
 
     image = build_workload(workload, scale, arm_profile=True)
@@ -200,18 +142,12 @@ def fig8_policy_ablation(workload: str = "adpcm_enc",
         memory = derive_memories(workload, scale)[0]
     if policies is None:
         policies = policy_names()
-    temperature = None
-    if "trrip" in policies:
-        temperature = temperature_for_image(image)
     rows: list[Fig8PolicyRow] = []
     base_cycles: int | None = None
     for policy in policies:
-        params = ({"temperature": temperature}
-                  if policy == "trrip" else None)
         for depth in depths:
             config = SoftCacheConfig(
-                tcache_size=memory, granularity="proc",
-                policy=policy, policy_params=params,
+                tcache_size=memory, granularity="proc", policy=policy,
                 prefetch_depth=depth, link=LinkModel(),
                 record_timeline=False)
             system = SoftCacheSystem(image, config)
@@ -233,35 +169,6 @@ def fig8_policy_ablation(workload: str = "adpcm_enc",
                 policy_prefetch_rejects=s.policy_prefetch_rejects,
                 policy_promotions=s.policy_promotions))
     return rows
-
-
-def render_fig8_policies(rows: list[Fig8PolicyRow]) -> str:
-    table = [[r.policy, r.depth, r.cycles, f"{r.relative_time:.2f}",
-              r.evictions, r.flushes, r.demand_translations,
-              r.prefetch_installs, r.prefetch_hits,
-              r.prefetch_drops, r.prefetch_dropped_bytes,
-              r.wasted_prefetch_bytes, r.policy_prefetch_rejects]
-             for r in rows]
-    return ascii_table(
-        ["policy", "depth", "cycles", "rel. time", "evictions",
-         "flushes", "demand", "prefetched", "pf hits", "drops",
-         "dropped B", "wasted B", "rejected"],
-        table,
-        title="Figure 8 ablation: replacement policy x prefetch depth "
-              "(proc granularity, networked link)")
-
-
-def render_fig8_prefetch(rows: list[Fig8PrefetchRow]) -> str:
-    table = [[r.depth, r.cycles, f"{r.relative_time:.2f}", r.evictions,
-              r.miss_service_cycles, r.demand_translations,
-              r.prefetch_installs, r.prefetch_hits,
-              r.wasted_prefetch_bytes] for r in rows]
-    return ascii_table(
-        ["depth", "cycles", "rel. time", "evictions", "miss-svc cycles",
-         "demand", "prefetched", "pf hits", "wasted B"],
-        table,
-        title="Figure 8 ablation: successor-prefetch depth "
-              "(proc granularity, networked link)")
 
 
 def render_fig8(series: list[Fig8Series]) -> str:

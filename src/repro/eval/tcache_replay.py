@@ -84,13 +84,13 @@ class ReplayResult:
 
 
 def replay_tcache(image: Image, trace: np.ndarray, tcache_size: int, *,
-                  granularity: str = "block", policy: str = "fifo",
-                  ebb_limit: int = 8) -> ReplayResult:
+                  granularity: str = "block",
+                  policy: str = "fifo") -> ReplayResult:
     """Replay the chunk-entry sequence through a tcache allocator."""
     if granularity == "block":
         chunker = BasicBlockChunker(image)
     elif granularity == "ebb":
-        chunker = EBBChunker(image, limit=ebb_limit)
+        chunker = EBBChunker(image)
     else:
         raise ValueError("replay supports block/ebb granularities")
     entries = chunk_entry_sequence(image, trace, granularity)

@@ -286,12 +286,10 @@ def simulate_fleet(image: Image, n_clients: int,
 
     if shards > 1:
         shared_mc = ShardedMemoryController(
-            image, shards, granularity=config.granularity,
-            ebb_limit=config.ebb_limit)
+            image, shards, granularity=config.granularity)
     else:
         shared_mc = MemoryController(image,
-                                     granularity=config.granularity,
-                                     ebb_limit=config.ebb_limit)
+                                     granularity=config.granularity)
         shards = 1
     if server is not None:
         # live ops plane (repro fleet --serve): /inspect/shards and

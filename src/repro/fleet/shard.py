@@ -120,15 +120,12 @@ class ShardedMemoryController:
     """
 
     def __init__(self, image: Image, n_shards: int,
-                 granularity: str = "block", ebb_limit: int = 8, *,
-                 vnodes: int = 64):
+                 granularity: str = "block", *, vnodes: int = 64):
         if n_shards < 1:
             raise ValueError("need at least one shard")
         self.image = image
         self.granularity = granularity
-        self.ebb_limit = ebb_limit
-        self.shards = [MemoryController(image, granularity=granularity,
-                                        ebb_limit=ebb_limit)
+        self.shards = [MemoryController(image, granularity=granularity)
                        for _ in range(n_shards)]
         self.ring = ConsistentHashRing(n_shards, vnodes=vnodes)
         #: Successor addresses that failed to chunk, shared across

@@ -51,7 +51,8 @@ from .metrics import MetricsRegistry
 #: v7: one fused-block tier: every fused block binds JIT code at first
 #: dispatch, so the heat-promotion event is gone — see
 #: docs/PERFORMANCE.md.
-TRACE_SCHEMA_VERSION = 7
+#: v8: the trrip policy is gone, and with it cc.policy_flush.
+TRACE_SCHEMA_VERSION = 8
 
 #: Chrome-trace thread lane per event category.  One process (pid) is
 #: one client; within it each layer of the stack gets its own track.
@@ -84,7 +85,6 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     "cc.degraded_exit": ("orig", "stall_cycles"),
     "cc.policy_reject": ("orig", "policy"),
     "cc.policy_promote": ("orig", "touches"),
-    "cc.policy_flush": ("resident", "protected"),
     "cc.epoch_observed": ("epoch", "prev"),
     "cc.update_barrier": ("epoch", "prev", "invalidated", "restamped",
                           "dropped_prefetch"),

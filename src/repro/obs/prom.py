@@ -51,9 +51,6 @@ _HELP_TEXTS = {
                                   "batch-assembly time (never shipped).",
     "cc.policy_promotions": "Addresses promoted to prefetch-eligible "
                             "(nhit crossing its touch threshold).",
-    "cc.policy_preemptive_flushes": "Whole-cache flushes chosen by "
-                                    "the policy over piecemeal "
-                                    "eviction (trrip).",
     "cc.miss_traps": "Miss traps taken (branch/ret/call/landing).",
     "cc.miss_service_cycles": "Simulated cycles spent servicing "
                               "misses, all phases.",

@@ -42,8 +42,8 @@ class AutoSizeEstimate:
     slack: float
 
 
-def measure_rewritten_bytes(image, procs, *, granularity: str = "block",
-                            ebb_limit: int = 8) -> int:
+def measure_rewritten_bytes(image, procs, *,
+                            granularity: str = "block") -> int:
     """Tile *procs* through the real chunker; sum rewritten sizes.
 
     Walks each procedure the way the CC faults it in — chunk at the
@@ -56,8 +56,7 @@ def measure_rewritten_bytes(image, procs, *, granularity: str = "block",
     from ..softcache.chunks import ChunkError
     from ..softcache.mc import MemoryController
 
-    mc = MemoryController(image, granularity=granularity,
-                          ebb_limit=ebb_limit)
+    mc = MemoryController(image, granularity=granularity)
     total = 0
     for proc in procs:
         addr = proc.addr
@@ -79,7 +78,6 @@ def estimate_tcache_size(image, *, threshold: float = 0.90,
                          slack: float = 1.2, quantum: int = 1024,
                          minimum: int = 1024,
                          granularity: str = "block",
-                         ebb_limit: int = 8,
                          profile: Profile | None = None
                          ) -> AutoSizeEstimate:
     """Full auto-size estimate with its inputs (for reporting).
@@ -94,8 +92,7 @@ def estimate_tcache_size(image, *, threshold: float = 0.90,
         profile = profile_image(image)
     hot = profile.hot_procs(threshold)
     rewritten = measure_rewritten_bytes(
-        image, [e.proc for e in hot], granularity=granularity,
-        ebb_limit=ebb_limit)
+        image, [e.proc for e in hot], granularity=granularity)
     raw = max(minimum, int(rewritten * slack))
     size = -(-raw // quantum) * quantum  # round up to the quantum
     return AutoSizeEstimate(
@@ -111,10 +108,9 @@ def estimate_tcache_size(image, *, threshold: float = 0.90,
 def auto_tcache_size(image, *, threshold: float = 0.90,
                      slack: float = 1.2, quantum: int = 1024,
                      minimum: int = 1024, granularity: str = "block",
-                     ebb_limit: int = 8,
                      profile: Profile | None = None) -> int:
     """The ``--tcache-size auto`` entry point: bytes for this image."""
     return estimate_tcache_size(
         image, threshold=threshold, slack=slack, quantum=quantum,
-        minimum=minimum, granularity=granularity, ebb_limit=ebb_limit,
+        minimum=minimum, granularity=granularity,
         profile=profile).tcache_size

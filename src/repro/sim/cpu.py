@@ -388,8 +388,8 @@ class CPU:
         words = [first]
         if not cls:
             # the rest of the run, in one batched fetch: at most
-            # FUSE_LIMIT - 1 words in all
-            limit = min(FUSE_LIMIT - 1, (region.end_addr - pc) >> 2)
+            # FUSE_LIMIT words in all
+            limit = min(FUSE_LIMIT, (region.end_addr - pc) >> 2)
             if view is not None:
                 rest = view[i0 + 1:i0 + limit].tolist()
             else:

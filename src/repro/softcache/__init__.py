@@ -42,8 +42,6 @@ from .policy import (
     FlushPolicy,
     NhitPolicy,
     ReplacementPolicy,
-    SeqCutoffPolicy,
-    TrripPolicy,
     make_policy,
     policy_names,
     validate_policy_name,
@@ -60,10 +58,10 @@ __all__ = [
     "FifoPolicy", "FlushPolicy", "JRSite",
     "Link", "MCStats", "MemoryController", "NhitPolicy", "POLICIES",
     "ProcCacheController", "ProcedureChunker", "Redirector",
-    "ReplacementPolicy", "RunReport", "SeqCutoffPolicy", "SiteKind",
+    "ReplacementPolicy", "RunReport", "SiteKind",
     "SoftCacheConfig", "SoftCacheError", "SoftCacheStats",
     "SoftCacheSystem", "Stub", "TBlock", "TCache", "TCacheFull",
-    "TCacheGeometry", "TrripPolicy", "check_consistency",
+    "TCacheGeometry", "check_consistency",
     "chunk_graph_dot", "dump_tcache", "make_policy", "policy_names",
     "run_softcache", "validate_policy_name",
 ]

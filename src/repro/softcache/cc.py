@@ -132,12 +132,9 @@ class BaseCacheController:
 
     def __init__(self, machine: Machine, mc: MemoryController,
                  channel: Channel, geometry: TCacheGeometry, *,
-                 policy="fifo", policy_params: dict | None = None,
-                 record_timeline: bool = True,
+                 policy="fifo", record_timeline: bool = True,
                  debug_poison: bool = False, prefetch_depth: int = 0,
                  recorder=None):
-        if prefetch_depth < 0:
-            raise ValueError("prefetch_depth must be >= 0")
         self.machine = machine
         self.cpu = machine.cpu
         self.mem = machine.mem
@@ -145,7 +142,7 @@ class BaseCacheController:
         self.mc = mc
         self.channel = channel
         self.tcache = TCache(geometry)
-        self._set_policy(policy, policy_params)
+        self._set_policy(policy)
         self.prefetch_depth = prefetch_depth
         self.record_timeline = record_timeline
         self.debug_poison = debug_poison
@@ -196,13 +193,13 @@ class BaseCacheController:
 
     # -- replacement policy -------------------------------------------------
 
-    def _set_policy(self, policy, params: dict | None = None) -> None:
+    def _set_policy(self, policy) -> None:
         """Build/bind the replacement policy (constructor + admin set).
 
         ``self.policy`` stays the plain name string the rest of the
         system (inspect snapshots, fleet metadata, tests) reads.
         """
-        obj = make_policy(policy, **(params or {}))
+        obj = make_policy(policy)
         obj.bind(self)
         self._policy = obj
         self.policy = obj.name
@@ -310,7 +307,6 @@ class BaseCacheController:
                 if block.prefetched:
                     dropped_prefetch += 1
                 self.tcache.retire(block)
-                self._policy.on_evict(block)
                 self._unlink_block(block)
                 if self.debug_poison:
                     self.mem.write_bytes(
@@ -731,7 +727,6 @@ class BaseCacheController:
 
     def _evict_oldest(self) -> None:
         block = self.tcache.retire_oldest()
-        self._policy.on_evict(block)
         if self.tracer is not None:
             self.tracer.emit("cc.evict", "cc", orig=block.orig,
                              addr=block.addr, size=block.size,
@@ -855,24 +850,23 @@ class BaseCacheController:
 
         ``prefetch_depth`` shapes the *next* miss exchange (the check
         site runs before the serve path reads it); ``policy`` swaps the
-        replacement policy (fresh metadata — a mid-run ``trrip`` has
-        no temperature map and degrades to neutral seeding).
+        replacement policy (fresh metadata).
         """
+        from .system import check_int
         # validate every field before applying any, so a rejected
         # command changes nothing
         if policy is None and prefetch_depth is None:
             raise ValueError("admin set: no knob given")
-        depth = None if prefetch_depth is None else int(prefetch_depth)
-        if depth is not None and depth < 0:
-            raise ValueError("prefetch_depth must be >= 0")
+        if prefetch_depth is not None:
+            check_int("prefetch_depth", prefetch_depth, 0)
         new_policy = None if policy is None else make_policy(policy)
         applied: dict = {"verb": "set"}
         if new_policy is not None:
             self._set_policy(new_policy)
             applied["policy"] = self.policy
-        if depth is not None:
-            self.prefetch_depth = depth
-            applied["prefetch_depth"] = depth
+        if prefetch_depth is not None:
+            self.prefetch_depth = prefetch_depth
+            applied["prefetch_depth"] = prefetch_depth
         return applied
 
     def admin_publish(self, *, image: str) -> dict:
@@ -1292,7 +1286,6 @@ class BlockCacheController(BaseCacheController):
                 "flush; increase stub_capacity") from None
         self.cpu.invalidate_all_decoded()
         self._charge(self.costs.evict_per_block_cycles * len(blocks))
-        self._policy.on_flush()
 
 
 class ProcCacheController(BaseCacheController):
@@ -1428,4 +1421,3 @@ class ProcCacheController(BaseCacheController):
             self._unlink_block(block)
         self.cpu.invalidate_all_decoded()
         self._charge(self.costs.evict_per_block_cycles * len(blocks))
-        self._policy.on_flush()

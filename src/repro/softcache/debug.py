@@ -179,17 +179,6 @@ def check_consistency(cc: BaseCacheController) -> int:
                     f"from epochs {first.epoch} and {last.epoch}")
     checked += 1
 
-    # replacement-policy metadata must only reference resident blocks
-    policy = getattr(cc, "_policy", None)
-    if policy is not None:
-        resident = list(cc.tcache.order) + list(cc.tcache.pinned_blocks)
-        problems = policy.audit(resident)
-        if problems:
-            raise ConsistencyError(
-                f"policy {policy.name} metadata stale: "
-                f"{'; '.join(problems)}")
-        checked += 1
-
     if isinstance(cc, BlockCacheController):
         checked += _check_block_cc(cc)
     elif isinstance(cc, ProcCacheController):

@@ -109,11 +109,10 @@ class MemoryController:
     """Server-side miss service: chunking + dynamic binary rewriting."""
 
     def __init__(self, image: Image, granularity: str = "block",
-                 ebb_limit: int = 8, group: str = "default"):
-        self.chunker = self._make_chunker(image, granularity, ebb_limit)
+                 group: str = "default"):
+        self.chunker = self._make_chunker(image, granularity)
         self.image = image
         self.granularity = granularity
-        self.ebb_limit = ebb_limit
         #: Tenant label: one MC/hub tier can serve several image
         #: groups; hub entries are keyed by (group, epoch, chunk).
         self.group = group
@@ -153,11 +152,11 @@ class MemoryController:
         self.data_rewriter = None
 
     @staticmethod
-    def _make_chunker(image: Image, granularity: str, ebb_limit: int):
+    def _make_chunker(image: Image, granularity: str):
         if granularity == "block":
             return BasicBlockChunker(image)
         if granularity == "ebb":
-            return EBBChunker(image, limit=ebb_limit)
+            return EBBChunker(image)
         if granularity == "proc":
             return ProcedureChunker(image)
         raise ValueError(f"unknown granularity {granularity!r}")
@@ -207,8 +206,7 @@ class MemoryController:
         self._versions[self.epoch] = version
         self.image = new_image
         self.image_digest = digest
-        self.chunker = self._make_chunker(new_image, self.granularity,
-                                          self.ebb_limit)
+        self.chunker = self._make_chunker(new_image, self.granularity)
         self._chunk_cache.clear()
         self._payload_cache.clear()
         self._checksum_cache.clear()
@@ -297,7 +295,7 @@ class MemoryController:
                 raise ChunkError(
                     f"epoch {epoch} is not servable (retired)")
             server = MemoryController(version.image, self.granularity,
-                                      self.ebb_limit, group=self.group)
+                                      group=self.group)
             server.data_rewriter = self.data_rewriter
             self._stale_mc[epoch] = server
         return server
@@ -528,8 +526,8 @@ class MemoryController:
             self.epoch = latest
             self.image = version.image
             self.image_digest = version.digest
-            self.chunker = self._make_chunker(
-                version.image, self.granularity, self.ebb_limit)
+            self.chunker = self._make_chunker(version.image,
+                                              self.granularity)
             self.stats.publish_rollbacks += 1
         self._stale_mc.clear()
         self._chunk_cache.clear()

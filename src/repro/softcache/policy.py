@@ -17,11 +17,9 @@ decision on the eviction/admission path:
   when space is needed, whether to retire the forced head victim or
   drop the whole cache at once (the Dynamo-style preemptive flush).
 * **metadata/promotion tracking** (:meth:`on_install` /
-  :meth:`on_hit` / :meth:`on_evict` / :meth:`on_flush`) — per-block
-  or per-address state such as re-reference predictions and touch
-  counts.
+  :meth:`on_hit`) — per-address state such as touch counts.
 
-Four policies beyond the seed pair:
+Three policies:
 
 * ``fifo`` — the seed path as a policy object: every hook is a no-op
   and the admission predicate is the raw residency check, so a run is
@@ -29,24 +27,11 @@ Four policies beyond the seed pair:
   (``tests/test_eviction_equivalence.py`` pins this word for word).
 * ``flush`` — the seed drop-everything policy: the first eviction
   candidate answers "flush".
-* ``trrip`` — temperature-based re-reference interval prediction
-  (TRRIP): blocks are seeded with an RRPV from the profiler's
-  hot/warm/cold classification (:mod:`repro.profiling.temperature`),
-  hits promote to RRPV 0, and cold-temperature prefetch candidates
-  are rejected outright.  With ``preemptive_flush=True`` it also
-  answers "flush" when the forced victim — and every other resident
-  block — is protected (the working set simply does not fit, and
-  piecemeal eviction would ping-pong).
 * ``nhit`` — Open-CAS-style promotion: a chunk's original address
   must be touched (demand-installed or re-entered) ``n`` times before
   it earns prefetch admission.  Touch history deliberately persists
   across evictions and flushes — that is the whole point of the
   policy — and is cleared only by :meth:`reset` (admin resize).
-* ``seqcutoff`` — sequential cutoff: installs are watched for
-  sequential runs (chunk.orig picking up exactly where the previous
-  install ended); once a run reaches the cutoff, prefetch candidates
-  that would extend it are rejected (streaming code evicts itself
-  before it is re-entered, so speculating on it is pure waste).
 
 Policies only shape *which* chunks are speculatively resident and
 *when* the cache is dropped — never what the program computes.  The
@@ -105,12 +90,6 @@ class ReplacementPolicy:
         """
         return EVICT
 
-    def on_evict(self, block: TBlock) -> None:
-        """*block* was retired; drop any metadata keyed on it."""
-
-    def on_flush(self) -> None:
-        """The whole cache was dropped; per-block metadata is stale."""
-
     # -- prefetch admission ------------------------------------------------
 
     def admit_prefetch(self, orig: int) -> bool:
@@ -127,16 +106,10 @@ class ReplacementPolicy:
     def reset(self) -> None:
         """Admin resize: clear *all* metadata, including any
         per-address history that survives ordinary flushes."""
-        self.on_flush()
 
     def snapshot(self) -> dict:
         """JSON-serializable policy state for ``/inspect/tcache``."""
         return {"name": self.name}
-
-    def audit(self, resident) -> list[str]:
-        """Consistency check: return problems (stale metadata that
-        references blocks not in *resident*), empty when clean."""
-        return []
 
 
 class FifoPolicy(ReplacementPolicy):
@@ -152,106 +125,6 @@ class FlushPolicy(ReplacementPolicy):
 
     def on_evict_candidate(self, block: TBlock) -> str:
         return FLUSH
-
-
-class TrripPolicy(ReplacementPolicy):
-    """Temperature-seeded re-reference interval prediction.
-
-    *temperature* is a :class:`repro.profiling.TemperatureMap` (or
-    None: every address classifies warm, admission filtering is off
-    and the policy degrades to fifo plus metadata).  RRPV seeds:
-    hot→1, warm→2, cold→``max_rrpv``; a prefetched install seeds one
-    step colder than a demand install; a hit promotes to 0
-    (protected).  Cold-temperature prefetch candidates are rejected.
-
-    *preemptive_flush* arms the Dynamo-style decision: when the
-    forced FIFO victim is protected and so is every other resident
-    block, the working set does not fit and the policy answers
-    "flush" instead of grinding through protected code one block at
-    a time.
-    """
-
-    name = "trrip"
-
-    def __init__(self, temperature=None, *, max_rrpv: int = 3,
-                 preemptive_flush: bool = False):
-        super().__init__()
-        if max_rrpv < 1:
-            raise ValueError("max_rrpv must be >= 1")
-        self.temperature = temperature
-        self.max_rrpv = max_rrpv
-        self.preemptive_flush = preemptive_flush
-        self.filters_prefetch = temperature is not None
-        self._rrpv: dict[TBlock, int] = {}
-
-    def _seed(self, orig: int) -> int:
-        if self.temperature is None:
-            return 2 if self.max_rrpv >= 2 else self.max_rrpv
-        temp = self.temperature.classify(orig)
-        if temp == "hot":
-            return 1
-        if temp == "warm":
-            return min(2, self.max_rrpv)
-        return self.max_rrpv
-
-    def on_install(self, block: TBlock, *, prefetched: bool) -> None:
-        rrpv = self._seed(block.orig)
-        if prefetched:
-            rrpv = min(self.max_rrpv, rrpv + 1)
-        self._rrpv[block] = rrpv
-
-    def on_hit(self, block: TBlock) -> None:
-        self._rrpv[block] = 0
-
-    def on_evict_candidate(self, block: TBlock) -> str:
-        if not self.preemptive_flush:
-            return EVICT
-        rrpv = self._rrpv
-        max_rrpv = self.max_rrpv
-        if rrpv.get(block, max_rrpv) != 0:
-            return EVICT
-        order = self.cc.tcache.order
-        protected = sum(1 for b in order if rrpv.get(b, max_rrpv) == 0)
-        if protected < len(order):
-            return EVICT
-        cc = self.cc
-        cc.stats.policy_preemptive_flushes += 1
-        if cc.tracer is not None:
-            cc.tracer.emit("cc.policy_flush", "cc",
-                           resident=len(order), protected=protected)
-        return FLUSH
-
-    def on_evict(self, block: TBlock) -> None:
-        self._rrpv.pop(block, None)
-
-    def on_flush(self) -> None:
-        self._rrpv.clear()
-
-    def admit_prefetch(self, orig: int) -> bool:
-        return self.temperature.classify(orig) != "cold"
-
-    def snapshot(self) -> dict:
-        histogram: dict[int, int] = {}
-        for value in self._rrpv.values():
-            histogram[value] = histogram.get(value, 0) + 1
-        snap = {
-            "name": self.name,
-            "max_rrpv": self.max_rrpv,
-            "preemptive_flush": self.preemptive_flush,
-            "tracked_blocks": len(self._rrpv),
-            "protected_blocks": histogram.get(0, 0),
-            "rrpv_histogram": {str(k): v
-                               for k, v in sorted(histogram.items())},
-        }
-        if self.temperature is not None:
-            snap["temperature_procs"] = dict(self.temperature.counts)
-        return snap
-
-    def audit(self, resident) -> list[str]:
-        live = set(map(id, resident))
-        return [f"trrip rrpv entry for non-resident block "
-                f"{block.orig:#x}"
-                for block in self._rrpv if id(block) not in live]
 
 
 class NhitPolicy(ReplacementPolicy):
@@ -303,56 +176,13 @@ class NhitPolicy(ReplacementPolicy):
                 "promoted_origs": promoted}
 
 
-class SeqCutoffPolicy(ReplacementPolicy):
-    """Reject prefetch that extends long sequential install runs.
-
-    Tracks the install stream: a chunk whose original address starts
-    exactly where the previous install ended extends the current
-    sequential run.  Once the run reaches *cutoff* chunks, prefetch
-    candidates that would extend it further are rejected — streaming
-    code marches through the cache once and is evicted before any
-    re-entry, so speculating ahead of it only pollutes the tcache.
-    """
-
-    name = "seqcutoff"
-
-    def __init__(self, cutoff: int = 4):
-        super().__init__()
-        if cutoff < 1:
-            raise ValueError("seqcutoff cutoff must be >= 1")
-        self.cutoff = cutoff
-        self.filters_prefetch = True
-        self._run = 0
-        self._next_seq: int | None = None
-
-    def on_install(self, block: TBlock, *, prefetched: bool) -> None:
-        if block.orig == self._next_seq:
-            self._run += 1
-        else:
-            self._run = 1
-        self._next_seq = block.orig + block.orig_size
-
-    def admit_prefetch(self, orig: int) -> bool:
-        return not (self._run >= self.cutoff and orig == self._next_seq)
-
-    def on_flush(self) -> None:
-        self._run = 0
-        self._next_seq = None
-
-    def snapshot(self) -> dict:
-        return {"name": self.name, "cutoff": self.cutoff,
-                "run_length": self._run, "next_seq": self._next_seq}
-
-
 #: The one registry every entry point validates against: CLI choices,
 #: admin ``set``, :class:`~repro.softcache.system.SoftCacheConfig` and
 #: the controller constructor all resolve names here.
 POLICIES: dict[str, type[ReplacementPolicy]] = {
     FifoPolicy.name: FifoPolicy,
     FlushPolicy.name: FlushPolicy,
-    TrripPolicy.name: TrripPolicy,
     NhitPolicy.name: NhitPolicy,
-    SeqCutoffPolicy.name: SeqCutoffPolicy,
 }
 
 
@@ -370,10 +200,11 @@ def validate_policy_name(name) -> str:
     return name
 
 
-def make_policy(policy, **params) -> ReplacementPolicy:
-    """Resolve a name (plus constructor *params*) or pass through an
-    already-built :class:`ReplacementPolicy` instance."""
+def make_policy(policy) -> ReplacementPolicy:
+    """Resolve a name to a default-built policy, or pass through an
+    already-built :class:`ReplacementPolicy` instance (the way to set
+    constructor parameters such as nhit's ``n``)."""
     if isinstance(policy, ReplacementPolicy):
         return policy
     validate_policy_name(policy)
-    return POLICIES[policy](**params)
+    return POLICIES[policy]()

@@ -103,9 +103,6 @@ class SoftCacheStats:
     policy_prefetch_rejects: int = 0
     #: Addresses promoted to prefetch-eligible (nhit crossing N).
     policy_promotions: int = 0
-    #: Whole-cache flushes chosen by the policy over piecemeal
-    #: eviction (trrip preemptive flush).
-    policy_preemptive_flushes: int = 0
 
     # -- degraded resident mode (fault injection) -------------------------
     #: LinkDown traps raised by the miss path (retry budget exhausted).

@@ -32,17 +32,11 @@ class SoftCacheConfig:
     #: Chunking granularity: ``block`` (SPARC prototype), ``ebb``
     #: (optimized trace chunks) or ``proc`` (ARM prototype).
     granularity: str = "block"
-    #: Max basic blocks glued into one EBB chunk.
-    ebb_limit: int = 8
     #: Replacement policy: a registered name (``fifo``, ``flush``,
-    #: ``trrip``, ``nhit``, ``seqcutoff`` — see
-    #: :mod:`repro.softcache.policy`) or a pre-built
-    #: :class:`~repro.softcache.policy.ReplacementPolicy` instance.
+    #: ``nhit`` — see :mod:`repro.softcache.policy`) or a pre-built
+    #: :class:`~repro.softcache.policy.ReplacementPolicy` instance
+    #: (the way to set constructor parameters such as nhit's ``n``).
     policy: object = "fifo"
-    #: Constructor kwargs for a named policy (e.g. ``{"temperature":
-    #: TemperatureMap(...)}`` for trrip, ``{"n": 3}`` for nhit).
-    #: Ignored when ``policy`` is already an instance.
-    policy_params: dict | None = None
     #: Successor-prefetch depth: a miss reply carries up to this many
     #: extra non-resident successor chunks in one batched exchange.
     #: 0 (the default) reproduces the paper's one-chunk-per-miss
@@ -61,7 +55,6 @@ class SoftCacheConfig:
     #: Overwrite evicted blocks with BREAK words (loud failure on any
     #: dangling pointer; used heavily by the test suite).
     debug_poison: bool = False
-    heap_size: int = 256 * 1024
     #: Enable the Section-3 software data cache (full-system mode).
     #: A :class:`repro.dcache.DataCacheConfig` or None.
     data_cache: object | None = None
@@ -92,8 +85,28 @@ class SoftCacheConfig:
     def __post_init__(self):
         from .policy import ReplacementPolicy, validate_policy_name
         # fail at config time, not at first miss or first CPU
+        check_int("tcache_size", self.tcache_size, 1)
+        check_int("prefetch_depth", self.prefetch_depth, 0)
+        check_int("stub_capacity", self.stub_capacity, 0, optional=True)
+        check_int("redirector_capacity", self.redirector_capacity, 0,
+                  optional=True)
+        check_int("pinned_capacity", self.pinned_capacity, 0)
         if not isinstance(self.policy, ReplacementPolicy):
             validate_policy_name(self.policy)
+
+
+def check_int(field: str, value, minimum: int, *,
+              optional: bool = False) -> None:
+    """Raise a ValueError naming *field*, *value* and the valid range
+    unless *value* is an int >= *minimum* (or None, if *optional*).
+    Shared by :class:`SoftCacheConfig` and the CC's ``admin set``."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        also = " or None" if optional else ""
+        raise ValueError(f"{field} must be >= {minimum} (an int{also}); "
+                         f"got {value!r}")
 
 
 @dataclass
@@ -129,7 +142,6 @@ class SoftCacheSystem:
         self.machine = Machine(image, MachineConfig(
             local_ram_size=local_size,
             text_executable=False,   # all fetches go through the tcache
-            heap_size=config.heap_size,
             costs=config.costs,
             superblocks=config.superblocks,
         ))
@@ -143,8 +155,7 @@ class SoftCacheSystem:
             self.mc = shared_mc
         else:
             self.mc = MemoryController(image,
-                                       granularity=config.granularity,
-                                       ebb_limit=config.ebb_limit)
+                                       granularity=config.granularity)
         self.channel = Channel(config.link)
         rec = recorder if recorder is not None else config.recorder
         self.recorder = rec if (rec is not None and rec.enabled) else None
@@ -175,7 +186,6 @@ class SoftCacheSystem:
         self.cc = controller_cls(
             self.machine, self.mc, self.channel, geometry,
             policy=config.policy,
-            policy_params=config.policy_params,
             record_timeline=config.record_timeline,
             debug_poison=config.debug_poison,
             prefetch_depth=config.prefetch_depth,

@@ -111,7 +111,7 @@ def test_ebb_glues_fallthrough(image):
     assert decode(chunk.words[-1]).op is Op.RET
 
 
-def test_ebb_limit_emits_continue_jump(image):
+def test_ebb_chunk_limit_emits_continue_jump(image):
     chunker = EBBChunker(image, limit=1)
     chunk = chunker.chunk_at(image.symbols["loop"])
     # one block then forced continuation jump

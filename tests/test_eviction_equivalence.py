@@ -18,11 +18,8 @@ from repro.net import LOCAL_LINK
 from repro.softcache import (
     FifoPolicy,
     FlushPolicy,
-    NhitPolicy,
-    SeqCutoffPolicy,
     SoftCacheConfig,
     SoftCacheSystem,
-    TrripPolicy,
     policy_names,
 )
 from repro.softcache.debug import check_consistency
@@ -110,50 +107,16 @@ def test_policy_object_golden_equivalence(workload, scale, kwargs,
     assert got == expected
 
 
-_temperature_cache = {}
-
-
-def _temperature(image):
-    """Profile-derived temperature map, cached per image (profiling
-    runs the program natively once)."""
-    if id(image) not in _temperature_cache:
-        from repro.profiling import temperature_for_image
-        _temperature_cache[id(image)] = temperature_for_image(image)
-    return _temperature_cache[id(image)]
-
-
-def _policy_instance(spec: str, image):
-    """A *fresh* policy object per call — metadata must not leak
-    between test cases."""
-    if spec == "trrip-temp":
-        return TrripPolicy(_temperature(image))
-    if spec == "trrip-preempt":
-        return TrripPolicy(_temperature(image), preemptive_flush=True)
-    if spec == "nhit":
-        return NhitPolicy(n=2)
-    if spec == "seqcutoff":
-        return SeqCutoffPolicy(cutoff=2)
-    return {"fifo": FifoPolicy, "flush": FlushPolicy,
-            "trrip": TrripPolicy}[spec]()
-
-
-#: Every registered policy plus the trrip variants that only engage
-#: with a temperature map (admission filtering, preemptive flush).
-POLICY_SPECS = sorted(set(policy_names())
-                      | {"trrip-temp", "trrip-preempt"})
-
-
-@pytest.mark.parametrize("spec", POLICY_SPECS)
+@pytest.mark.parametrize("spec", policy_names())
 def test_policy_structural_invariants_sensor(spec):
     """Whole-workload invariant run: sensor through a thrashing tcache
     with deep prefetch under every policy must finish with the link
-    graph closed, the residency map exact and the policy's own
-    metadata clean (`check_consistency` audits all three)."""
+    graph closed and the residency map exact (`check_consistency`
+    audits both)."""
     image = build_workload("sensor", 0.05)
     system = SoftCacheSystem(image, SoftCacheConfig(
         tcache_size=1024, link=LOCAL_LINK, prefetch_depth=2,
-        policy=_policy_instance(spec, image), record_timeline=False,
-        debug_poison=True))
+        policy=spec, record_timeline=False, debug_poison=True))
     report = system.run(600_000_000)
     assert report.exit_code == 0
     assert check_consistency(system.cc) > 0
@@ -282,7 +245,7 @@ def test_faulty_interleavings_never_dangle(seed, drop, corrupt,
 
 @settings(max_examples=15, deadline=None)
 @given(
-    spec=st.sampled_from(POLICY_SPECS),
+    spec=st.sampled_from(policy_names()),
     chaos=st.booleans(),
     seed=st.integers(min_value=0, max_value=2 ** 16),
     depth=st.integers(min_value=0, max_value=2),
@@ -291,22 +254,18 @@ def test_faulty_interleavings_never_dangle(seed, drop, corrupt,
 )
 def test_policy_interleavings_never_dangle(spec, chaos, seed, depth,
                                            actions):
-    """The eviction property × the policy layer: every policy (and the
-    trrip admission/preemptive variants) under random translate/flush
-    interleavings — optionally through a `chaos`-preset fault plan —
-    must keep the link graph closed, the residency map exact and its
-    own metadata free of stale block references.  `check_consistency`
-    runs the policy's `audit()` against the resident set after every
-    action, so a policy that forgets to drop state on evict or flush
-    fails here, not in a later run."""
+    """The eviction property × the policy layer: every policy under
+    random translate/flush interleavings — optionally through a
+    `chaos`-preset fault plan — must keep the link graph closed and
+    the residency map exact after every action."""
     from repro.net import FaultPlan, RetryPolicy
 
     plan = FaultPlan.chaos(seed) if chaos else None
     image = churn_image()
     system = SoftCacheSystem(image, SoftCacheConfig(
         tcache_size=512, link=LOCAL_LINK, prefetch_depth=depth,
-        policy=_policy_instance(spec, image),
-        record_timeline=False, debug_poison=True, fault_plan=plan,
+        policy=spec, record_timeline=False, debug_poison=True,
+        fault_plan=plan,
         retry_policy=RetryPolicy(max_attempts=3, jitter=0.0)))
     cc = system.cc
     cc.start()

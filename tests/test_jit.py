@@ -536,8 +536,13 @@ def _third_arrival(image, symbol: str) -> int:
 
 
 def _counts(cpu) -> dict:
+    """Kills, codegen, and the length of the live fused block that
+    starts at the pc (0 when none does)."""
+    fused = [e["instructions"] for e in cpu.superblock_info(cpu.pc)
+             if e["start"] == cpu.pc and e["tier"] == "jit"]
     return {"killed": cpu.sb_stats.invalidated_blocks,
-            "codegen": cpu.jit_stats.jit_codegen}
+            "codegen": cpu.jit_stats.jit_codegen,
+            "fused": fused[0] if fused else 0}
 
 
 def _patch_warm(image, symbol: str, patch, steps: int):
@@ -603,8 +608,8 @@ def _terminator_byte(mem):
 
 
 def _cut_by_limit(mem):
-    # the last of the FUSE_LIMIT - 1 addi words the block holds
-    site = _LONG_IMAGE.symbols["loop"] + 4 * (FUSE_LIMIT - 2)
+    # the last of the FUSE_LIMIT addi words the block holds
+    site = _LONG_IMAGE.symbols["loop"] + 4 * (FUSE_LIMIT - 1)
     mem.write_word(site, encode(Insn(Op.ADDI, rd=T0, rs1=T0, imm=2)))
 
 
@@ -620,7 +625,7 @@ def _cut_by_trap(mem):
     (_IMAGE, "loop", _terminator_opcode, BODY_LEN, False),
     (_IMAGE, "loop", _terminator_register, BODY_LEN, False),
     (_IMAGE, "loop", _terminator_byte, BODY_LEN, False),
-    (_LONG_IMAGE, "loop", _cut_by_limit, FUSE_LIMIT - 1, False),
+    (_LONG_IMAGE, "loop", _cut_by_limit, FUSE_LIMIT, False),
     (_TRAP_IMAGE, "loop", _cut_by_trap, 3, False),
 ], ids=["B-byte", "J", "opcode", "register", "byte", "fuse-limit",
         "trap-cut"])
@@ -632,9 +637,13 @@ def test_last_word_rewrite_rebuilds_block(image, symbol, patch, steps,
     terminator (cut by FUSE_LIMIT or by a trap-class word) — kills the
     block at the write, and its next dispatch re-scans it.  A retarget
     binds the code already compiled for the block's shape, with no
-    codegen.  (``test_repatched_terminator_rebinds_without_codegen``
-    rewrites a whole B-format word.)"""
+    codegen.  The warm block is *steps* long: a block cut by the limit
+    holds exactly FUSE_LIMIT words.
+    (``test_repatched_terminator_rebinds_without_codegen`` rewrites a
+    whole B-format word.)"""
     before, written, ran = _patch_warm(image, symbol, patch, steps)
+    assert before["fused"] == steps
+    assert written["fused"] == 0
     assert written["killed"] > before["killed"]
     assert ran["killed"] == written["killed"]
     if retarget:

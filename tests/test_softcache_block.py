@@ -228,6 +228,32 @@ def test_stub_exhaustion_raises_helpfully(loop_image):
         run_softcache(loop_image, config)
 
 
+#: The valid range each sized knob's error must state.
+_CONFIG_BOUNDS = {
+    "tcache_size": ">= 1 (an int)",
+    "prefetch_depth": ">= 0 (an int)",
+    "stub_capacity": ">= 0 (an int or None)",
+    "redirector_capacity": ">= 0 (an int or None)",
+    "pinned_capacity": ">= 0 (an int)",
+}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tcache_size", 0), ("tcache_size", -64), ("tcache_size", 1024.0),
+    ("prefetch_depth", -1), ("prefetch_depth", 2.5),
+    ("stub_capacity", -4), ("redirector_capacity", -1),
+    ("pinned_capacity", -8), ("pinned_capacity", None),
+])
+def test_config_rejects_bad_values_at_construction(field, value):
+    """A bad knob fails when the config is built, with an error that
+    names the field, the value and the valid range, not at the first
+    miss or when an area runs out."""
+    with pytest.raises(ValueError) as exc:
+        SoftCacheConfig(**{field: value})
+    assert str(exc.value) == (
+        f"{field} must be {_CONFIG_BOUNDS[field]}; got {value!r}")
+
+
 def test_chunk_larger_than_tcache():
     from repro.softcache import TCacheFull
     image = compile_program(LOOP_SRC, "loop2")
