@@ -399,7 +399,7 @@ def test_shared_hub_isolates_tenant_groups():
         native = run_native(image_of(workload))
         assert reports[group].output == native.output_text
         assert reports[group].exit_code == (native.cpu.exit_code or 0)
-    keys = list(hub._cache._entries)
+    keys = list(hub._cache.entries)
     assert keys, "hub must have cached chunks"
     assert all(isinstance(k, tuple) and k[0] in ("a", "b")
                for k in keys)
