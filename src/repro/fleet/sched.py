@@ -89,11 +89,12 @@ class MCProbe:
     """Stages (owner shard, chunk keys) of each MC serve for the tap.
 
     Installed once per shared MC (the same instance-method wrapping
-    the hub's ``with_hub`` uses): the CC serves a chunk/batch *then*
-    exchanges it, so whatever was staged last belongs to the next
-    ``chunk`` RPC the :class:`WireTap` brackets.  Works with both the
-    plain :class:`~repro.softcache.mc.MemoryController` (everything
-    owned by shard 0) and the sharded tier (ring ownership).
+    the hub's ``with_hub`` uses) on ``serve_batch``, the CC's only way
+    to fetch a chunk: the CC serves a batch *then* exchanges it, so
+    whatever was staged last belongs to the next ``chunk`` RPC the
+    :class:`WireTap` brackets.  Works with both the plain
+    :class:`~repro.softcache.mc.MemoryController` (everything owned by
+    shard 0) and the sharded tier (ring ownership).
     """
 
     def __init__(self, mc):
@@ -101,15 +102,8 @@ class MCProbe:
         self._owner = owner if owner is not None else (lambda orig: 0)
         self._shard = -1
         self._keys: tuple[tuple[int, int], ...] = ()
-        orig_serve = mc.serve_chunk
         orig_batch = mc.serve_batch
         probe = self
-
-        def serve_chunk(orig_addr):
-            chunk = orig_serve(orig_addr)
-            probe._stage(orig_addr,
-                         ((orig_addr, chunk.payload_bytes),))
-            return chunk
 
         def serve_batch(orig_addr, depth, is_resident):
             batch = orig_batch(orig_addr, depth, is_resident)
@@ -118,7 +112,6 @@ class MCProbe:
                                for c, _ in batch))
             return batch
 
-        mc.serve_chunk = serve_chunk
         mc.serve_batch = serve_batch
 
     def _stage(self, demand: int,

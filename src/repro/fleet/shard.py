@@ -6,9 +6,9 @@ addresses (Open-CAS keeps per-core cache statistics the same way:
 each worker owns a stable slice of the key space and reports its own
 counters).  The :class:`ShardedMemoryController` is a drop-in for a
 single ``MemoryController``: the cache controller and fault layer see
-the usual ``serve_chunk`` / ``serve_batch`` / ``payload_of`` surface,
-while every request lands on the shard that owns the chunk and is
-accounted in that shard's :class:`~repro.softcache.mc.MCStats`.
+the usual ``serve_batch`` / ``payload_of`` surface, while every
+request lands on the shard that owns the chunk and is accounted in
+that shard's :class:`~repro.softcache.mc.MCStats`.
 
 Rewriting is deterministic and chunks are keyed by original address,
 so sharding is architecturally invisible: a sharded fleet run reaches
@@ -233,12 +233,6 @@ class ShardedMemoryController:
         return self.shards[self.ring.owner(orig_addr)]
 
     # -- miss service --------------------------------------------------
-
-    def serve_chunk(self, orig_addr: int) -> Chunk:
-        shard = self.shard_for(orig_addr)
-        chunk = shard.serve_chunk(orig_addr)
-        self.last_served_epoch = shard.last_served_epoch
-        return chunk
 
     def payload_of(self, chunk: Chunk) -> bytes:
         return self.shard_for(chunk.orig).payload_of(chunk)

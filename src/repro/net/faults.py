@@ -357,11 +357,14 @@ class FaultyChannel:
     """A Channel/HubChannel wrapper that injects plan-driven faults.
 
     Duck-typed as a :class:`~repro.net.link.Channel`: unknown
-    attributes (``stats``, ``hub_stats``, ``next_key``…) delegate to
+    attributes (``stats``, ``hub_stats``, ``next_keys``…) delegate to
     the wrapped channel, so the rest of the stack is oblivious.  Every
     returned ``seconds`` value folds in timeouts and backoff, so the
     CC's existing ``_charge_link`` conversion charges retries to the
-    simulated CPU without modification.
+    simulated CPU without modification.  Each call is forwarded as
+    the same call on the wrapped channel: a chunk RPC, whatever its
+    length, is a ``batch_exchange``, and a replayed one re-arms a
+    hub's ``next_keys``.
 
     Chunk exchanges carry staged ``(payload, checksum)`` pairs (set by
     the CC via :meth:`stage_payloads`); a ``corrupt`` outcome flips a
@@ -450,11 +453,7 @@ class FaultyChannel:
         trc = self.tracer
         payloads = self._staged
         self._staged = None
-        inner = self.inner
-        key = getattr(inner, "next_key", None)
-        batch_keys = getattr(inner, "next_keys", None)
-        if batch_keys is not None:
-            batch_keys = list(batch_keys)
+        keys = getattr(self.inner, "next_keys", None)
         can_trap = kind == "chunk" and not one_way
         seconds = 0.0
         attempt = 0
@@ -466,8 +465,7 @@ class FaultyChannel:
             st.attempts += 1
             if outcome in _REACHES_SERVER:
                 inner_s = self._call_inner(kind, sizes, batched, one_way,
-                                           key, batch_keys,
-                                           replay=reached)
+                                           keys, replay=reached)
                 reached = True
                 if outcome == "drop_reply":
                     st.drops_reply += 1
@@ -491,8 +489,11 @@ class FaultyChannel:
                                      seconds=extra)
                     elif outcome == "duplicate":
                         st.duplicates += 1
-                        st.duplicate_wasted_s += \
-                            self.link.exchange_time(sum(sizes))
+                        # the copy costs what its message costs; a
+                        # batch of one is exactly exchange_time
+                        st.duplicate_wasted_s += (
+                            self.link.one_way_time(sizes[0]) if one_way
+                            else self.link.batch_exchange_time(sizes))
                         if trc is not None:
                             trc.emit("fault.duplicate", "fault",
                                      kind=kind)
@@ -541,24 +542,22 @@ class FaultyChannel:
                              attempt=attempt, backoff_s=backoff)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _call_inner(self, kind, sizes, batched, one_way, key,
-                    batch_keys, replay: bool) -> float:
-        """Traverse the wrapped channel once, restoring hub key
-        plumbing and flagging replays so hub hit-rate accounting can
-        tell a replayed request from a fresh one."""
+    def _call_inner(self, kind, sizes, batched, one_way, keys,
+                    replay: bool) -> float:
+        """Traverse the wrapped channel once, re-arming a hub's batch
+        keys and flagging replays so hub hit-rate accounting can tell
+        a replayed request from a fresh one."""
         inner = self.inner
         is_hub = hasattr(inner, "replaying")
         if replay:
-            if key is not None:
-                inner.next_key = key
-            if batch_keys is not None:
-                inner.next_keys = list(batch_keys)
+            if keys is not None:
+                inner.next_keys = keys
             if is_hub:
                 inner.replaying = True
         try:
             if one_way:
                 return inner.send(kind, sizes[0])
-            if batched and len(sizes) > 1:
+            if batched:
                 return inner.batch_exchange(kind, sizes)
             return inner.exchange(kind, sizes[0])
         finally:

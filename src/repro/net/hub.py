@@ -5,12 +5,12 @@ multilevel caching system" (§1).  In the cell-phone scenario the cell
 tower can keep a chunk cache so that most misses are served one fast
 hop away instead of across the backhaul to the origin server.
 
-:class:`HubChannel` wraps the CC's channel: an exchange first costs
+:class:`HubChannel` wraps the CC's channel: a chunk RPC first costs
 the near link; on a hub miss the far link is traversed too and the
 chunk (keyed by original address) is cached at the hub with LRU
-replacement.  Batched (prefetch) replies populate the hub with every
-chunk they carry, so one client's prefetch warms the hub for the whole
-fleet.
+replacement.  Every chunk RPC is a batch (a plain miss is a batch of
+one), and a reply populates the hub with every chunk it carries, so
+one client's prefetch warms the hub for the whole fleet.
 
 Only ``chunk`` traffic is cached.  Every other kind (data refills,
 writebacks, invalidations) is a deliberate **pass-through**: the hub
@@ -153,9 +153,10 @@ class HubChannel(Channel):
 
     Drop-in replacement for :class:`~repro.net.Channel`: the
     SoftCacheSystem is constructed normally and its ``channel`` is
-    swapped for a HubChannel (see ``with_hub``).  Only ``chunk``
-    exchanges are cached; everything else passes through to the
-    origin (both hops paid and recorded).
+    swapped for a HubChannel (see ``with_hub``).  A chunk RPC is a
+    keyed :meth:`batch_exchange` (a demand miss at depth 0 is a batch
+    of one); :meth:`exchange` and any unkeyed batch are the
+    pass-through, both hops paid and recorded.
     """
 
     def __init__(self, near: LinkModel, far: LinkModel,
@@ -165,9 +166,7 @@ class HubChannel(Channel):
         self.capacity = capacity_bytes
         self.hub_stats = HubStats()
         self._cache = LruChunkCache(capacity_bytes)
-        #: set per-request by the CC wrapper; identifies the chunk
-        self.next_key: int | None = None
-        #: set per-batch by the CC wrapper; one key per batched chunk,
+        #: set per-batch by the MC wrapper; one key per batched chunk,
         #: demanded chunk first.
         self.next_keys: list[int] | None = None
         #: set by the fault layer before re-traversing this channel
@@ -178,34 +177,19 @@ class HubChannel(Channel):
 
     # -- far-hop accounting -------------------------------------------
 
-    def _record_far_exchange(self, payload_bytes: int, *,
-                             replay: bool = False) -> float:
-        """Traverse the far link for one chunk/pass-through exchange.
+    def _record_far_batch(self, payload_sizes: Sequence[int], *,
+                          replay: bool = False) -> float:
+        """Traverse the far link for one RPC carrying *payload_sizes*.
 
         The far leg is real traffic: its seconds and bytes land in the
-        channel's LinkStats (they used to be added to the returned time
-        only, undercounting ``busy_seconds``/``payload_bytes`` on every
-        hub miss).  ``exchanges`` is not bumped — the client made one
-        logical RPC — and ``exchange_overhead_bytes`` keeps the
-        near-hop §2.4 per-exchange metric.  *replay* marks a retried
+        channel's LinkStats.  ``exchanges`` is not bumped (the client
+        made one logical RPC), and ``exchange_overhead_bytes`` keeps
+        the near-hop §2.4 per-exchange metric.  A batch of one costs
+        exactly ``far.exchange_time``.  *replay* marks a retried
         exchange: the wire cost is real and recorded, but the bytes
         are tallied as :attr:`HubStats.replayed_far_bytes` instead of
         fresh origin traffic.
         """
-        seconds = self.far.exchange_time(payload_bytes)
-        stats = self.stats
-        stats.busy_seconds += seconds
-        stats.payload_bytes += payload_bytes
-        stats.overhead_bytes += self.far.exchange_overhead_bytes
-        if replay:
-            self.hub_stats.replayed_far_bytes += payload_bytes
-        if self.tracer is not None:
-            self.tracer.emit("hub.far", "hub", bytes=payload_bytes,
-                             seconds=seconds)
-        return seconds
-
-    def _record_far_batch(self, payload_sizes: Sequence[int], *,
-                          replay: bool = False) -> float:
         seconds = self.far.batch_exchange_time(payload_sizes)
         stats = self.stats
         stats.busy_seconds += seconds
@@ -228,49 +212,17 @@ class HubChannel(Channel):
     # -- exchanges ----------------------------------------------------
 
     def exchange(self, kind: str, payload_bytes: int) -> float:
+        """The pass-through: the hub caches code only, so both hops
+        are always paid (and recorded)."""
         replay = self.replaying
         self.replaying = False
-        if kind != "chunk" or self.next_key is None:
-            # non-chunk pass-through: the hub caches code only, so
-            # both hops are always paid (and now recorded).
-            seconds = super().exchange(kind, payload_bytes)
-            return seconds + self._record_far_exchange(payload_bytes,
-                                                       replay=replay)
-        key = self.next_key
-        self.next_key = None
-        stats = self.hub_stats
-        if replay:
-            # link-layer retry of a request this hub already served:
-            # pay the wire again, but keep it out of the hit rate —
-            # the first attempt cached the chunk, so counting the
-            # replay would manufacture a hit out of packet loss.
-            stats.replayed_requests += 1
-            seconds = super().exchange(kind, payload_bytes)
-            if key in self._cache:
-                self._cache.touch(key)
-                return seconds
-            return seconds + self._record_far_exchange(payload_bytes,
-                                                       replay=True)
-        stats.requests += 1
-        seconds = super().exchange(kind, payload_bytes)  # near hop
-        if key in self._cache:
-            self._cache.touch(key)
-            stats.hub_hits += 1
-            stats.hub_bytes += payload_bytes
-            if self.tracer is not None:
-                self.tracer.emit("hub.hit", "hub", key=key,
-                                 bytes=payload_bytes)
-            return seconds
-        # hub miss: fetch from the origin over the far link and cache
-        stats.origin_fetches += 1
-        stats.origin_bytes += payload_bytes
-        seconds += self._record_far_exchange(payload_bytes)
-        self._cache_insert(key, payload_bytes)
-        return seconds
+        seconds = super().exchange(kind, payload_bytes)
+        return seconds + self._record_far_batch((payload_bytes,),
+                                                replay=replay)
 
     def batch_exchange(self, kind: str,
                        payload_sizes: Sequence[int]) -> float:
-        """Batched chunk delivery through the hub.
+        """One chunk RPC through the hub.
 
         The hub forwards one far-link batch for the chunks it lacks
         and serves the rest from its cache; **every** chunk in the
@@ -281,30 +233,27 @@ class HubChannel(Channel):
         self.replaying = False
         keys = self.next_keys
         self.next_keys = None
+        # the near hop: a batch of one is a plain exchange, as in
+        # Channel.batch_exchange, but not through the pass-through
+        # exchange() above, which would pay the far hop too
+        if len(payload_sizes) <= 1:
+            seconds = super().exchange(kind, sum(payload_sizes))
+        else:
+            seconds = super().batch_exchange(kind, payload_sizes)
         if kind != "chunk" or keys is None or \
                 len(keys) != len(payload_sizes):
-            self.replaying = replay  # exchange() pass-through reads it
-            seconds = super().batch_exchange(kind, payload_sizes)
-            if len(payload_sizes) <= 1:
-                # super() routed through exchange(); far hop already
-                # recorded by the pass-through path above.
-                return seconds
-            self.replaying = False
+            # unkeyed: a pass-through like exchange()
             return seconds + self._record_far_batch(payload_sizes,
                                                     replay=replay)
-        if len(payload_sizes) == 1:
-            # a batch of one is exactly a single keyed exchange; do
-            # not let Channel.batch_exchange re-enter our exchange()
-            # with the key already consumed (that path would treat it
-            # as a pass-through and double-pay the far hop).
-            self.next_key = keys[0]
-            self.replaying = replay
-            return self.exchange(kind, payload_sizes[0])
         stats = self.hub_stats
-        seconds = super().batch_exchange(kind, payload_sizes)  # near
         missing: list[int] = []
         for key, size in zip(keys, payload_sizes):
             if replay:
+                # link-layer retry of a request this hub already
+                # served: pay the wire again, but keep it out of the
+                # hit rate (the first attempt cached the chunk, so
+                # counting the replay would manufacture a hit out of
+                # packet loss)
                 stats.replayed_requests += 1
                 if key in self._cache:
                     self._cache.touch(key)
@@ -336,10 +285,13 @@ def with_hub(system, near: LinkModel | None = None,
              hub: HubChannel | None = None) -> HubChannel:
     """Insert a hub cache between *system*'s CC and its MC.
 
-    Returns the installed :class:`HubChannel` (whose ``hub_stats``
-    report hit rates).  Call before ``system.run()``.  Pass an
-    existing *hub* to share one mid-tier cache between several client
-    systems (the cell-tower scenario: systems built with a
+    Wraps the MC's ``serve_batch``, the CC's only way to fetch a
+    chunk, so that each served reply hands the hub its keys (one per
+    chunk, demanded chunk first) for the ``batch_exchange`` that
+    follows.  Returns the installed :class:`HubChannel` (whose
+    ``hub_stats`` report hit rates).  Call before ``system.run()``.
+    Pass an existing *hub* to share one mid-tier cache between several
+    client systems (the cell-tower scenario: systems built with a
     ``shared_mc`` and one hub see each other's chunks).
     """
     if hub is None:
@@ -357,23 +309,16 @@ def with_hub(system, near: LinkModel | None = None,
     if getattr(mc, "_hub_wrapped", None) is hub:
         return hub  # shared MC already feeds this hub's key plumbing
 
-    original = mc.serve_chunk
     original_batch = mc.serve_batch
 
-    def serving(orig_addr: int):
+    def serving_batch(orig_addr: int, depth: int, is_resident):
         # key AFTER serving: the serve resolves which epoch this
         # client is drawing from (mc.last_served_epoch), and the key
         # must carry the epoch that produced the bytes
-        result = original(orig_addr)
-        hub.next_key = hub_key(mc, orig_addr)
-        return result
-
-    def serving_batch(orig_addr: int, depth: int, is_resident):
         batch = original_batch(orig_addr, depth, is_resident)
         hub.next_keys = [hub_key(mc, chunk.orig) for chunk, _ in batch]
         return batch
 
-    mc.serve_chunk = serving
     mc.serve_batch = serving_batch
     mc._hub_wrapped = hub
     return hub

@@ -158,11 +158,12 @@ class Channel:
 
     def batch_exchange(self, kind: str,
                        payload_sizes: Sequence[int]) -> float:
-        """One RPC whose reply carries several chunks (miss batching).
+        """One chunk RPC: the CC's only way to fetch chunks.
 
-        A single-chunk batch is accounted exactly like :meth:`exchange`
-        so ``prefetch_depth=0`` configurations are bit-identical to the
-        unbatched protocol.
+        A reply of several chunks is a prefetch batch.  A batch of
+        one, every miss at ``prefetch_depth=0`` and every pin, goes
+        through ``self.exchange``, so it is accounted exactly as the
+        paper's one-chunk RPC (and a wrapper of ``exchange`` sees it).
         """
         if len(payload_sizes) <= 1:
             return self.exchange(kind, sum(payload_sizes))

@@ -416,9 +416,12 @@ class BaseCacheController:
     def ensure_translated(self, orig: int) -> TBlock:
         """Return the resident block for *orig*, translating on miss.
 
-        With ``prefetch_depth > 0`` the miss is serviced as one batched
-        exchange: the demanded chunk plus up to *depth* non-resident
-        successors, installed speculatively after the demand install.
+        A miss is one chunk RPC: ``mc.serve_batch`` returns the
+        demanded chunk plus up to ``prefetch_depth`` non-resident
+        successors, and one ``batch_exchange`` carries them.  At depth
+        0 that is a batch of one, the paper's one-chunk exchange; any
+        prefetched chunks are installed speculatively after the demand
+        install.
         """
         stats = self.stats
         self._charge(self.costs.map_lookup_cycles)
@@ -441,21 +444,11 @@ class BaseCacheController:
         # an outage replay re-serves them, and if a publish landed
         # mid-outage the replayed pairs are the *new* version's;
         # installing the pre-exchange capture would be a torn write.
-        if self.prefetch_depth > 0:
-            batch = self.mc.serve_batch(orig, self.prefetch_depth,
-                                        self._batch_filter)
-            stats.miss_serve_host_s += perf_counter() - t0
-            seconds, batch = self._exchange_chunk(orig, batch,
-                                                  batched=True)
-            chunk, payload = batch[0]
-        else:
-            batch = None
-            chunk = self.mc.serve_chunk(orig)
-            payload = self.mc.payload_of(chunk)
-            stats.miss_serve_host_s += perf_counter() - t0
-            seconds, pairs = self._exchange_chunk(
-                orig, [(chunk, payload)], batched=False)
-            chunk, payload = pairs[0]
+        depth = self.prefetch_depth
+        batch = self.mc.serve_batch(orig, depth, self._batch_filter)
+        stats.miss_serve_host_s += perf_counter() - t0
+        seconds, batch = self._exchange_chunk(orig, batch, depth)
+        chunk, payload = batch[0]
         stats.miss_link_cycles += self._charge_link(seconds)
         self._charge(self.costs.mc_service_cycles)
         stats.miss_serve_cycles += self.costs.mc_service_cycles
@@ -494,12 +487,10 @@ class BaseCacheController:
         if trc is not None:
             dur = self.cpu.cycles - miss_start
             trc.emit("cc.miss", "cc", miss_start, dur=dur, orig=orig,
-                     name=chunk.name, size=chunk.size,
-                     batch=len(batch) if batch is not None else 1)
+                     name=chunk.name, size=chunk.size, batch=len(batch))
             self._miss_latency.observe(dur)
-        if batch is not None:
-            for extra_chunk, extra_payload in batch[1:]:
-                self._install_prefetched(extra_chunk, extra_payload)
+        for extra_chunk, extra_payload in batch[1:]:
+            self._install_prefetched(extra_chunk, extra_payload)
         return block
 
     def _is_resident(self, orig: int) -> bool:
@@ -508,15 +499,17 @@ class BaseCacheController:
 
     # -- miss exchange / degraded resident mode ---------------------------
 
-    def _exchange_chunk(self, orig: int, pairs, *,
-                        batched: bool) -> tuple[float, list]:
-        """One chunk RPC (single or batched reply), fault-aware.
+    def _exchange_chunk(self, orig: int, pairs,
+                        depth: int) -> tuple[float, list]:
+        """One chunk RPC, fault-aware.
 
-        *pairs* is ``[(chunk, payload), ...]``, demanded chunk first.
-        On a fault-free channel this is exactly the seed exchange; with
-        faults installed the reply payloads and their header checksums
-        are staged first (so corruption is detected on real bytes), and
-        an exhausted retry budget drops into degraded resident mode.
+        *pairs* is what ``mc.serve_batch(orig, depth, ...)`` returned:
+        ``[(chunk, payload), ...]``, demanded chunk first.  On a
+        fault-free channel this is one ``batch_exchange``; with faults
+        installed the reply payloads and their header checksums are
+        staged first (so corruption is detected on real bytes), and an
+        exhausted retry budget drops into degraded resident mode, which
+        re-serves at the same *depth*.
 
         Returns ``(link seconds, delivered pairs)``.  The delivered
         pairs are what the caller must install: an outage replay
@@ -529,15 +522,13 @@ class BaseCacheController:
             mc = self.mc
             self._stager([(p, mc.checksum_of(c)) for c, p in pairs])
         try:
-            if batched:
-                return self.channel.batch_exchange("chunk", sizes), pairs
-            return self.channel.exchange("chunk", sizes[0]), pairs
+            return self.channel.batch_exchange("chunk", sizes), pairs
         except LinkDown as down:
-            seconds, pairs = self._replay_after_reconnect(orig, batched)
+            seconds, pairs = self._replay_after_reconnect(orig, depth)
             return down.seconds + seconds, pairs
 
     def _replay_after_reconnect(self, orig: int,
-                                batched: bool) -> tuple[float, list]:
+                                depth: int) -> tuple[float, list]:
         """Degraded resident mode: the link is down mid-miss.
 
         Resident chunks would keep executing — it is only this miss
@@ -582,21 +573,13 @@ class BaseCacheController:
                 check_consistency(self)
             # re-issue the request: re-serve from the MC (re-priming
             # any hub key plumbing) and re-stage the reply payloads
-            if batched:
-                pairs = self.mc.serve_batch(orig, self.prefetch_depth,
-                                            self._batch_filter)
-            else:
-                chunk = self.mc.serve_chunk(orig)
-                pairs = [(chunk, self.mc.payload_of(chunk))]
+            pairs = self.mc.serve_batch(orig, depth, self._batch_filter)
             sizes = [c.payload_bytes for c, _ in pairs]
             if self._stager is not None:
                 mc = self.mc
                 self._stager([(p, mc.checksum_of(c)) for c, p in pairs])
             try:
-                if batched:
-                    seconds += channel.batch_exchange("chunk", sizes)
-                else:
-                    seconds += channel.exchange("chunk", sizes[0])
+                seconds += channel.batch_exchange("chunk", sizes)
             except LinkDown as down:
                 seconds += down.seconds
                 continue
@@ -697,9 +680,9 @@ class BaseCacheController:
                 f"{orig:#x} is already resident unpinned; pin before "
                 f"running")
         self._sync_epoch()
-        chunk = self.mc.serve_chunk(orig)
-        seconds, pairs = self._exchange_chunk(
-            orig, [(chunk, self.mc.payload_of(chunk))], batched=False)
+        # a pin fetches its chunk alone, whatever prefetch_depth is
+        pairs = self.mc.serve_batch(orig, 0, self._batch_filter)
+        seconds, pairs = self._exchange_chunk(orig, pairs, 0)
         chunk, payload = pairs[0]
         self._charge_link(seconds)
         self._charge(self.costs.mc_service_cycles)
@@ -712,6 +695,7 @@ class BaseCacheController:
         self.tcache.commit_pinned(block)
         self.stats.translations += 1
         self.stats.words_installed += len(chunk.words)
+        self.stats.extra_words_installed += chunk.extra_words
         self._charge(self.costs.install_fixed_cycles +
                      self.costs.install_per_word_cycles
                      * len(chunk.words))

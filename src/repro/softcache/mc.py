@@ -383,7 +383,8 @@ class MemoryController:
         first, then up to *depth* additional chunks discovered by a
         breadth-first walk of the successor graph, skipping anything
         *is_resident* reports the client already holds.  With
-        ``depth == 0`` the reply is exactly ``serve_chunk``'s.
+        ``depth == 0`` the reply is exactly ``serve_chunk``'s: the CC
+        fetches every chunk this way, a plain miss as a batch of one.
         """
         stale = self._stale_for_client()
         if stale is not None:
@@ -391,7 +392,7 @@ class MemoryController:
             st = self.stats
             st.requests += 1
             st.stale_serves += 1
-            st.bytes_served += sum(len(p) for _, p in batch)
+            st.bytes_served += sum(c.payload_bytes for c, _ in batch)
             if depth > 0:
                 st.batch_requests += 1
             return batch

@@ -89,8 +89,8 @@ def test_far_hop_recorded_in_link_stats():
     far = LinkModel(bandwidth_bps=2e6, latency_s=5e-3)
     hub = HubChannel(near, far)
 
-    hub.next_key = 0x1000
-    t_miss = hub.exchange("chunk", 100)
+    hub.next_keys = [0x1000]
+    t_miss = hub.batch_exchange("chunk", [100])
     assert t_miss == pytest.approx(
         near.exchange_time(100) + far.exchange_time(100))
     stats = hub.stats
@@ -102,8 +102,8 @@ def test_far_hop_recorded_in_link_stats():
     assert stats.overhead_per_exchange() == pytest.approx(60.0)
 
     # a hub hit pays (and records) the near hop only
-    hub.next_key = 0x1000
-    t_hit = hub.exchange("chunk", 100)
+    hub.next_keys = [0x1000]
+    t_hit = hub.batch_exchange("chunk", [100])
     assert t_hit == pytest.approx(near.exchange_time(100))
     assert stats.busy_seconds == pytest.approx(t_miss + t_hit)
     assert stats.payload_bytes == 300
@@ -128,8 +128,8 @@ def test_batch_populates_hub_with_every_chunk():
     hub.batch_exchange("chunk", [40, 60, 80])
     assert hub.hub_stats.origin_fetches == 3
     # a later demand for a chunk that arrived only as batch cargo hits
-    hub.next_key = 0x300
-    t = hub.exchange("chunk", 80)
+    hub.next_keys = [0x300]
+    t = hub.batch_exchange("chunk", [80])
     assert hub.hub_stats.hub_hits == 1
     assert t == pytest.approx(near.exchange_time(80))
 
@@ -138,14 +138,38 @@ def test_batch_forwards_only_missing_chunks_upstream():
     near = LinkModel()
     far = LinkModel(bandwidth_bps=2e6, latency_s=5e-3)
     hub = HubChannel(near, far)
-    hub.next_key = 0x100
-    hub.exchange("chunk", 40)              # warm one chunk
+    hub.next_keys = [0x100]
+    hub.batch_exchange("chunk", [40])      # warm one chunk
     hub.next_keys = [0x100, 0x200, 0x300]
     t = hub.batch_exchange("chunk", [40, 60, 80])
     assert hub.hub_stats.hub_hits == 1
     # far leg carried only the two missing chunks
     assert t == pytest.approx(near.batch_exchange_time([40, 60, 80]) +
                               far.batch_exchange_time([60, 80]))
+
+
+def test_replayed_batch_of_one_reinserts_a_chunk_larger_than_the_hub():
+    """A replayed chunk RPC re-inserts every key it carries, a batch
+    of one included.  A chunk larger than the hub is evicted by its
+    own insert, so the retry finds it absent, pays the far hop again
+    and evicts it a second time."""
+    near = LinkModel()
+    far = LinkModel(bandwidth_bps=2e6, latency_s=5e-3)
+    hub = HubChannel(near, far, capacity_bytes=64)
+    hub.next_keys = [0x100]
+    first = hub.batch_exchange("chunk", [100])
+    assert 0x100 not in hub._cache
+    assert hub.hub_stats.evictions == 1
+    hub.next_keys = [0x100]
+    hub.replaying = True
+    replay = hub.batch_exchange("chunk", [100])
+    assert replay == first == pytest.approx(11068.0e-6)
+    stats = hub.hub_stats
+    assert stats.evictions == 2
+    assert (stats.requests, stats.replayed_requests) == (1, 1)
+    assert stats.replayed_far_bytes == 100
+    assert hub.stats.payload_bytes == 400     # two attempts, two hops
+    assert 0x100 not in hub._cache
 
 
 def test_second_client_hits_hub_on_prefetched_chunk(image):

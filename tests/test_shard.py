@@ -70,12 +70,14 @@ def test_last_shard_cannot_be_removed():
         ring.remove_shard(0)
 
 
-def test_sharded_mc_serves_like_one_mc():
+@pytest.mark.parametrize("depth", [0, 2])
+def test_sharded_mc_serves_like_one_mc(depth):
     """A solo client against the sharded tier reaches the same
     architectural state as against one MC, and the shard stats sum
-    to the monolithic counters."""
+    to the monolithic counters.  At depth 2 the sharded batch walk
+    must pick the same prefetched chunks as the MC's."""
     image = build_workload("sensor", 0.05)
-    config = SoftCacheConfig(tcache_size=8192)
+    config = SoftCacheConfig(tcache_size=8192, prefetch_depth=depth)
 
     mono_mc = MemoryController(image)
     mono = SoftCacheSystem(image, config, shared_mc=mono_mc)
@@ -90,6 +92,11 @@ def test_sharded_mc_serves_like_one_mc():
     assert agg.requests == mono_mc.stats.requests
     assert agg.chunks_built == mono_mc.stats.chunks_built
     assert agg.bytes_served == mono_mc.stats.bytes_served
+    assert agg.prefetch_chunks_sent == mono_mc.stats.prefetch_chunks_sent
+    assert agg.batch_requests == mono_mc.stats.batch_requests
+    assert system.stats.prefetch_installs == mono.stats.prefetch_installs
+    if depth:
+        assert agg.prefetch_chunks_sent > 0
     assert aggregate_mc_stats(
         [s.stats for s in sharded_mc.shards]).requests == agg.requests
     # the ring actually spread the chunk population
