@@ -11,11 +11,11 @@ SoftCacheSystem` run once under a :class:`~repro.fleet.sched.WireTap`
 advanced by the discrete-event scheduler on one simulated clock, so
 uplink queueing, origin-shard contention behind the edge hub, and
 fault-retry storms emerge from the event interleaving instead of
-being estimated post hoc.  The server side is either one shared
-:class:`~repro.softcache.MemoryController` or — with ``shards > 1`` —
-a consistent-hash :class:`~repro.fleet.shard.ShardedMemoryController`
-whose per-shard rewrite/serve/bytes counters feed the metrics
-registry.  See docs/FLEET.md.
+being estimated post hoc.  The server side is always a
+consistent-hash :class:`~repro.fleet.shard.ShardedMemoryController`
+(``shards=1`` is a one-shard tier) whose per-shard
+rewrite/serve/bytes counters feed the metrics registry.  See
+docs/FLEET.md.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from dataclasses import dataclass, field, replace
 
 from ..asm.image import Image
 from ..net import LinkModel
-from ..softcache import (
-    MemoryController,
-    RunReport,
-    SoftCacheConfig,
-    SoftCacheSystem,
-)
+from ..softcache import RunReport, SoftCacheConfig, SoftCacheSystem
 from .sched import (
     ClientTrace,
     MCProbe,
@@ -74,7 +69,7 @@ class ShardLoad:
     #: Origin service occupancy, seconds.
     busy_s: float
     #: Server-side counters (rewrites, serves, bytes) of the shard's
-    #: MemoryController; the whole fleet for an unsharded MC.
+    #: MemoryController.
     mc_requests: int = 0
     mc_chunks_built: int = 0
     mc_bytes_served: int = 0
@@ -233,9 +228,9 @@ def simulate_fleet(image: Image, n_clients: int,
     region-wide reset of a sensor network).
 
     Every client advances on one heap-ordered simulated clock with
-    live queueing feedback.  *shards* > 1 splits the MC into a
-    consistent-hash sharded tier; *hub_capacity* (bytes) interposes a
-    shared edge hub that shields the origin shards.
+    live queueing feedback.  The MC is a consistent-hash tier of
+    *shards* origin shards (at least one); *hub_capacity* (bytes)
+    interposes a shared edge hub that shields the origin shards.
 
     *distinct_clients* caps how many clients actually execute — the
     rest replay captured wire timelines (devices are identical and
@@ -284,17 +279,13 @@ def simulate_fleet(image: Image, n_clients: int,
     cpu_hz = costs.cpu_hz
     link = config.link
 
-    if shards > 1:
-        shared_mc = ShardedMemoryController(
-            image, shards, granularity=config.granularity)
-    else:
-        shared_mc = MemoryController(image,
-                                     granularity=config.granularity)
-        shards = 1
+    shards = max(1, shards)
+    shared_mc = ShardedMemoryController(image, shards,
+                                        granularity=config.granularity)
     if server is not None:
         # live ops plane (repro fleet --serve): /inspect/shards and
         # /metrics track the shared server tier while the fleet runs
-        server.attach_fleet(shared_mc, shards)
+        server.attach_fleet(shared_mc)
     probe = MCProbe(shared_mc)
 
     if distinct_clients is None:
@@ -383,14 +374,9 @@ def simulate_fleet(image: Image, n_clients: int,
     # the server served each replicated client from its chunk caches:
     # credit the owning shards with the demand fetches, once per trace
     for t_idx, count in Counter(assignment[n_distinct:]).items():
-        demands = {sid: n * count
-                   for sid, n in traces[t_idx].shard_demands.items()}
-        if isinstance(shared_mc, ShardedMemoryController):
-            shared_mc.credit_replicated(demands)
-        else:
-            n_demands = sum(demands.values())
-            shared_mc.stats.requests += n_demands
-            shared_mc.stats.chunk_cache_hits += n_demands
+        shared_mc.credit_replicated(
+            {sid: n * count
+             for sid, n in traces[t_idx].shard_demands.items()})
 
     # -- queueing phase: one simulated clock over the whole fleet -----
     sim: SimOutcome = run_event_sim(
@@ -433,22 +419,14 @@ def simulate_fleet(image: Image, n_clients: int,
     if sim.busy_until > makespan:
         makespan = sim.busy_until
 
-    if isinstance(shared_mc, ShardedMemoryController):
-        shard_loads = [
-            ShardLoad(shard=i, requests=sim.shard_requests[i],
-                      busy_s=sim.shard_busy_s[i]
-                      if i < len(sim.shard_busy_s) else 0.0,
-                      mc_requests=part.stats.requests,
-                      mc_chunks_built=part.stats.chunks_built,
-                      mc_bytes_served=part.stats.bytes_served)
-            for i, part in enumerate(shared_mc.shards)]
-    else:
-        shard_loads = [ShardLoad(
-            shard=0, requests=sim.shard_requests[0],
-            busy_s=sim.shard_busy_s[0] if sim.shard_busy_s else 0.0,
-            mc_requests=shared_mc.stats.requests,
-            mc_chunks_built=shared_mc.stats.chunks_built,
-            mc_bytes_served=shared_mc.stats.bytes_served)]
+    shard_loads = [
+        ShardLoad(shard=i, requests=sim.shard_requests[i],
+                  busy_s=sim.shard_busy_s[i]
+                  if i < len(sim.shard_busy_s) else 0.0,
+                  mc_requests=part.stats.requests,
+                  mc_chunks_built=part.stats.chunks_built,
+                  mc_bytes_served=part.stats.bytes_served)
+        for i, part in enumerate(shared_mc.shards)]
 
     mc_stats = shared_mc.stats
     fleet = FleetResult(

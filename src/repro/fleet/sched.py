@@ -92,14 +92,13 @@ class MCProbe:
     the hub's ``with_hub`` uses) on ``serve_batch``, the CC's only way
     to fetch a chunk: the CC serves a batch *then* exchanges it, so
     whatever was staged last belongs to the next ``chunk`` RPC the
-    :class:`WireTap` brackets.  Works with both the plain
-    :class:`~repro.softcache.mc.MemoryController` (everything owned by
-    shard 0) and the sharded tier (ring ownership).
+    :class:`WireTap` brackets.  *mc* is the fleet's
+    :class:`~repro.fleet.shard.ShardedMemoryController`; the demanded
+    chunk's ring owner is the RPC's shard.
     """
 
     def __init__(self, mc):
-        owner = getattr(mc, "owner_of", None)
-        self._owner = owner if owner is not None else (lambda orig: 0)
+        self._owner = mc.owner_of
         self._shard = -1
         self._keys: tuple[tuple[int, int], ...] = ()
         orig_batch = mc.serve_batch

@@ -6,9 +6,12 @@ addresses (Open-CAS keeps per-core cache statistics the same way:
 each worker owns a stable slice of the key space and reports its own
 counters).  The :class:`ShardedMemoryController` is a drop-in for a
 single ``MemoryController``: the cache controller and fault layer see
-the usual ``serve_batch`` / ``payload_of`` surface, while every
+the usual ``serve_batch`` / ``checksum_of`` surface, while every
 request lands on the shard that owns the chunk and is accounted in
-that shard's :class:`~repro.softcache.mc.MCStats`.
+that shard's :class:`~repro.softcache.mc.MCStats`.  There is one batch
+walk, :meth:`MemoryController.serve_batch`: the tier enters it at the
+demanded chunk's owner and hands it the ring, so each prefetched chunk
+is produced and billed by its own owner.
 
 Rewriting is deterministic and chunks are keyed by original address,
 so sharding is architecturally invisible: a sharded fleet run reaches
@@ -96,23 +99,34 @@ class ConsistentHashRing:
         return self._points[i][1]
 
 
+#: Tier-wide events: publishes and restarts fan out to every shard,
+#: so the shards count each one in lockstep and the tier counts it once.
+TIER_WIDE = frozenset({"publishes", "publish_noops", "publish_rollbacks",
+                       "restarts"})
+
+
 def aggregate_mc_stats(parts: Iterable[MCStats]) -> MCStats:
-    """Sum per-shard server counters into one fleet-wide MCStats."""
+    """One fleet-wide MCStats: per-shard service counters summed,
+    each :data:`TIER_WIDE` event counted once."""
+    parts = list(parts)
     total = MCStats()
-    for part in parts:
-        for f in dataclasses.fields(MCStats):
-            setattr(total, f.name,
-                    getattr(total, f.name) + getattr(part, f.name))
+    for f in dataclasses.fields(MCStats):
+        if f.name in TIER_WIDE:
+            value = getattr(parts[0], f.name) if parts else 0
+        else:
+            value = sum(getattr(part, f.name) for part in parts)
+        setattr(total, f.name, value)
     return total
 
 
 class ShardedMemoryController:
     """N origin shards behind one MemoryController-shaped facade.
 
-    Chunk requests route to the consistent-hash owner of the original
-    address; batched prefetch assembly walks the shared successor
-    graph across shards (each prefetched chunk is produced — and
-    billed — by its own owner).  ``invalidate_chunks`` and
+    A chunk request is forwarded to the consistent-hash owner of the
+    demanded address, whose batch walk asks the ring for the owner of
+    every prefetched chunk (each is produced — and billed — by its
+    own owner, which also remembers the addresses that fail to
+    chunk).  ``invalidate_chunks`` and
     ``restart`` fan out to every shard: guest invalidation is a
     correctness broadcast, and the fault layer's MC crash models a
     correlated origin outage (per-shard fault plans are a fleet-level
@@ -128,9 +142,6 @@ class ShardedMemoryController:
         self.shards = [MemoryController(image, granularity=granularity)
                        for _ in range(n_shards)]
         self.ring = ConsistentHashRing(n_shards, vnodes=vnodes)
-        #: Successor addresses that failed to chunk, shared across
-        #: shards so a batch walk skips them regardless of owner.
-        self._unchunkable: set[int] = set()
         #: Epoch that produced the bytes of the most recent serve
         #: (mirrors the owning shard's value; the hub keys entries
         #: with it).
@@ -195,17 +206,12 @@ class ShardedMemoryController:
         return self.shards[0].knows_image(image)
 
     def publish(self, new_image: Image, *, durable: bool = True) -> int:
-        """Publish *new_image* on every shard (one logical epoch bump).
-
-        The successor graph changes with the image, so the shared
-        unchunkable set is dropped along with the per-shard caches.
-        """
+        """Publish *new_image* on every shard (one logical epoch bump)."""
         epochs = {s.publish(new_image, durable=durable)
                   for s in self.shards}
         if len(epochs) != 1:
             raise ChunkError(f"shard epochs diverged on publish: "
                              f"{sorted(epochs)}")
-        self._unchunkable.clear()
         self.image = self.shards[0].image
         return epochs.pop()
 
@@ -234,81 +240,29 @@ class ShardedMemoryController:
 
     # -- miss service --------------------------------------------------
 
-    def payload_of(self, chunk: Chunk) -> bytes:
-        return self.shard_for(chunk.orig).payload_of(chunk)
-
     def checksum_of(self, chunk: Chunk) -> int:
         return self.shard_for(chunk.orig).checksum_of(chunk)
-
-    def successors_of(self, orig_addr: int) -> tuple[int, ...]:
-        return self.shard_for(orig_addr).successors_of(orig_addr)
 
     def serve_batch(self, orig_addr: int, depth: int,
                     is_resident: Callable[[int], bool]
                     ) -> list[tuple[Chunk, bytes]]:
-        """The MemoryController batch walk, routed per chunk owner.
-
-        The BFS order and residency checks are identical to the
-        single-MC :meth:`~repro.softcache.mc.MemoryController.
-        serve_batch`, so a sharded batch reply carries exactly the
-        same chunks; only the serving (and billing) shard differs.
-        """
-        demand_shard = self.shard_for(orig_addr)
-        demand = demand_shard.serve_chunk(orig_addr)
-        self.last_served_epoch = demand_shard.last_served_epoch
-        batch = [(demand, demand_shard.payload_of(demand))]
-        if depth <= 0:
-            return batch
-        demand_shard.stats.batch_requests += 1
-        picked = {orig_addr}
-        frontier = list(demand.successors)
-        seen = set(frontier) | picked
-        while frontier and len(batch) <= depth:
-            addr = frontier.pop(0)
-            if addr in self._unchunkable:
-                continue
-            shard = self.shard_for(addr)
-            if not is_resident(addr):
-                try:
-                    batch.append(shard.prefetch_one(addr))
-                except ChunkError:
-                    self._unchunkable.add(addr)
-                    continue
-                picked.add(addr)
-            try:
-                successors = shard.successors_of(addr)
-            except ChunkError:
-                self._unchunkable.add(addr)
-                continue
-            for succ in successors:
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-        if demand_shard.tracer is not None:
-            demand_shard.tracer.emit(
-                "mc.batch", "mc", orig=orig_addr, chunks=len(batch),
-                prefetch_bytes=sum(c.payload_bytes
-                                   for c, _ in batch[1:]))
+        """Forward the miss to the demanded chunk's owner, which runs
+        :meth:`MemoryController.serve_batch` with the ring as its
+        *owner*: the same walk, the same chunks, billed per owner."""
+        shard = self.shard_for(orig_addr)
+        batch = shard.serve_batch(orig_addr, depth, is_resident,
+                                  self.shard_for)
+        self.last_served_epoch = shard.last_served_epoch
         return batch
-
-    # -- data path (full-system mode) ----------------------------------
-
-    def serve_data(self, addr: int, length: int) -> bytes:
-        return self.shard_for(addr).serve_data(addr, length)
-
-    def accept_writeback(self, addr: int, data: bytes) -> None:
-        self.shard_for(addr).accept_writeback(addr, data)
 
     # -- invalidation / faults -----------------------------------------
 
     def invalidate_chunks(self, addr: int, length: int) -> int:
-        self._unchunkable.clear()
         return sum(s.invalidate_chunks(addr, length)
                    for s in self.shards)
 
     def restart(self) -> None:
         """Correlated origin restart (the fault layer's MC crash)."""
-        self._unchunkable.clear()
         for shard in self.shards:
             shard.restart()
 

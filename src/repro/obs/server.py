@@ -157,7 +157,6 @@ class ObsServer:
         self._lock = threading.Lock()
         self._system = None
         self._fleet_mc = None
-        self._fleet_shards = 0
         #: ControlPlane wired into the attached system's CC, or None.
         self.control: ControlPlane | None = None
         #: GET requests served (host-side bookkeeping only).
@@ -206,11 +205,11 @@ class ObsServer:
             else:
                 self.control = None
 
-    def attach_fleet(self, shared_mc, shards: int) -> None:
-        """Serve a fleet's shared server tier (``/inspect/shards``)."""
+    def attach_fleet(self, shared_mc) -> None:
+        """Serve a fleet's shared server tier (``/inspect/shards``), a
+        :class:`~repro.fleet.shard.ShardedMemoryController`."""
         with self._lock:
             self._fleet_mc = shared_mc
-            self._fleet_shards = max(1, shards)
 
     # -- snapshot building -------------------------------------------------
 
@@ -237,14 +236,9 @@ class ObsServer:
             from .metrics import publish_dataclass
 
             def _publish_fleet():
-                shards = getattr(fleet_mc, "shards", None)
-                if shards is not None:
-                    for i, part in enumerate(shards):
-                        publish_dataclass(registry, f"fleet.shard{i}",
-                                          part.stats)
-                else:
-                    publish_dataclass(registry, "fleet.shard0",
-                                      fleet_mc.stats)
+                for i, part in enumerate(fleet_mc.shards):
+                    publish_dataclass(registry, f"fleet.shard{i}",
+                                      part.stats)
 
             self._snapshot(_publish_fleet)
         return to_prometheus(registry, build_info=build_info)
@@ -253,15 +247,11 @@ class ObsServer:
         with self._lock:
             system = self._system
             fleet_mc = self._fleet_mc
-            shards = self._fleet_shards
         if route == "images":
             if system is not None:
                 return self._snapshot(system._inspect_images)
             if fleet_mc is not None:
-                info = getattr(fleet_mc, "version_info", None)
-                if info is not None:
-                    return self._snapshot(info)
-                return {"group": "default", "epoch": 0, "versions": []}
+                return self._snapshot(fleet_mc.version_info)
             raise _NotAttached("no system or fleet attached")
         if route in ("", "tcache", "superblocks"):
             if system is None:
@@ -270,16 +260,16 @@ class ObsServer:
             if route == "":
                 if fleet_mc is not None:
                     full["shards"] = self._snapshot(
-                        lambda: _shard_snapshot(fleet_mc, shards))
+                        lambda: _shard_snapshot(fleet_mc))
                 return full
             return full[route]
         if route == "shards":
             if fleet_mc is not None:
                 return self._snapshot(
-                    lambda: _shard_snapshot(fleet_mc, shards))
+                    lambda: _shard_snapshot(fleet_mc))
             if system is not None:
                 return self._snapshot(
-                    lambda: _shard_snapshot(system.mc, 1))
+                    lambda: _shard_snapshot(system.mc))
             raise _NotAttached("no system or fleet attached")
         raise _NotFound(f"unknown inspect route {route!r}")
 
@@ -381,7 +371,7 @@ class _SnapshotUnavailable(Exception):
     pass
 
 
-def _shard_snapshot(mc, shards: int) -> dict:
+def _shard_snapshot(mc) -> dict:
     """Per-shard load from a (possibly sharded) memory controller."""
     parts = getattr(mc, "shards", None)
     if parts is None:

@@ -22,7 +22,10 @@ taken-branch and call targets, recorded as chunks are built).  With
 plus up to N non-resident successors shipped in one reply, amortizing
 the per-exchange protocol overhead — the standard instruction-prefetch
 lever applied to the paper's "could easily be reduced to near zero"
-miss-service cost.
+miss-service cost.  :meth:`MemoryController.serve_batch` is the one
+walk: a plain miss is a batch of one, a lagging client's batch walks
+its own epoch's graph, and a sharded tier enters it at the demanded
+chunk's owner and names the owner of every other chunk.
 """
 
 from __future__ import annotations
@@ -55,10 +58,6 @@ class MCStats:
     prefetch_chunks_sent: int = 0
     #: Payload bytes of those speculative chunks.
     prefetch_bytes_served: int = 0
-    data_requests: int = 0
-    data_bytes_served: int = 0
-    writebacks: int = 0
-    writeback_bytes: int = 0
     #: Crash-restart epochs survived (fault injection): each one wipes
     #: the server-side chunk/payload caches and the successor graph.
     restarts: int = 0
@@ -128,7 +127,7 @@ class MemoryController:
         #: wrappers because it is attribute state on this object.
         self.client_epoch: int | None = None
         #: Epoch the last serve actually resolved against (the reply
-        #: header's version tag; payload/checksum lookups follow it).
+        #: header's version tag; checksum_of follows it).
         self.last_served_epoch = 0
         self._stale_mc: dict[int, "MemoryController"] = {}
         self.stats = MCStats()
@@ -319,11 +318,7 @@ class MemoryController:
         return chunk
 
     def payload_of(self, chunk: Chunk) -> bytes:
-        """The chunk's pre-encoded body bytes (cached server-side,
-        resolved at the epoch of the last serve)."""
-        if self.last_served_epoch != self.epoch:
-            return self._stale_mc[self.last_served_epoch].payload_of(
-                chunk)
+        """The chunk's pre-encoded body bytes (cached server-side)."""
         payload = self._payload_cache.get(chunk.orig)
         if payload is None:
             payload = b"".join(
@@ -354,75 +349,69 @@ class MemoryController:
 
     # -- miss service -------------------------------------------------
 
-    def serve_chunk(self, orig_addr: int) -> Chunk:
-        """Service one instruction miss: return the rewritten chunk."""
-        stale = self._stale_for_client()
-        if stale is not None:
-            chunk = stale.serve_chunk(orig_addr)
-            self.stats.requests += 1
-            self.stats.stale_serves += 1
-            self.stats.bytes_served += chunk.payload_bytes
-            return chunk
-        self.stats.requests += 1
-        cached = orig_addr in self._chunk_cache
-        chunk = self._obtain(orig_addr)
-        if cached:
-            self.stats.chunk_cache_hits += 1
-        self.stats.bytes_served += chunk.payload_bytes
-        if self.tracer is not None:
-            self.tracer.emit("mc.serve", "mc", orig=orig_addr,
-                             bytes=chunk.payload_bytes, cached=cached)
-        return chunk
-
     def serve_batch(self, orig_addr: int, depth: int,
-                    is_resident: Callable[[int], bool]
-                    ) -> list[tuple[Chunk, bytes]]:
-        """Service a miss with successor prefetch: one batched reply.
+                    is_resident: Callable[[int], bool],
+                    owner: Callable[[int], "MemoryController"]
+                    | None = None) -> list[tuple[Chunk, bytes]]:
+        """Service one instruction miss: one reply, demand chunk first.
 
-        Returns ``[(chunk, payload_bytes), ...]`` — the demanded chunk
-        first, then up to *depth* additional chunks discovered by a
-        breadth-first walk of the successor graph, skipping anything
-        *is_resident* reports the client already holds.  With
-        ``depth == 0`` the reply is exactly ``serve_chunk``'s: the CC
-        fetches every chunk this way, a plain miss as a batch of one.
+        Returns ``[(chunk, payload_bytes), ...]`` — the demanded chunk,
+        then up to *depth* more chunks found by a breadth-first walk of
+        the successor graph, skipping anything *is_resident* reports the
+        client already holds.  The CC fetches every chunk this way, a
+        plain miss as a batch of one (``depth == 0``).
+
+        The client's epoch is resolved once and the walk runs over that
+        epoch's graph.  *owner* maps an address to the MC that produces
+        and bills its chunk (a sharded tier passes its ring's
+        ``shard_for``); by default that is this MC.  Every owner the
+        walk visits resolves the client's epoch too, so its
+        ``checksum_of`` follows the batch.
         """
         stale = self._stale_for_client()
+        server = stale or self
+        st = self.stats
+        st.requests += 1
+        cached = orig_addr in server._chunk_cache
+        demand = server._obtain(orig_addr)
+        st.bytes_served += demand.payload_bytes
         if stale is not None:
-            batch = stale.serve_batch(orig_addr, depth, is_resident)
-            st = self.stats
-            st.requests += 1
             st.stale_serves += 1
-            st.bytes_served += sum(c.payload_bytes for c, _ in batch)
-            if depth > 0:
-                st.batch_requests += 1
-            return batch
-        demand = self.serve_chunk(orig_addr)
-        batch = [(demand, self.payload_of(demand))]
+        else:
+            if cached:
+                st.chunk_cache_hits += 1
+            if self.tracer is not None:
+                self.tracer.emit("mc.serve", "mc", orig=orig_addr,
+                                 bytes=demand.payload_bytes,
+                                 cached=cached)
+        batch = [(demand, server.payload_of(demand))]
         if depth <= 0:
             return batch
-        self.stats.batch_requests += 1
-        picked = {orig_addr}
+        st.batch_requests += 1
+        servers = {self: server}  # owner -> its server at this epoch
         frontier = list(demand.successors)
-        seen = set(frontier) | picked
+        seen = {orig_addr, *frontier}
         while frontier and len(batch) <= depth:
             addr = frontier.pop(0)
-            if addr in self._unchunkable:
+            mc = self if owner is None else owner(addr)
+            src = servers.get(mc)
+            if src is None:
+                src = servers[mc] = mc._stale_for_client() or mc
+            if addr in src._unchunkable:
                 continue
-            if not is_resident(addr):
-                try:
-                    chunk = self._obtain(addr)
-                except ChunkError:
-                    self._unchunkable.add(addr)
-                    continue
-                batch.append((chunk, self.payload_of(chunk)))
-                picked.add(addr)
-                self.stats.prefetch_chunks_sent += 1
-                self.stats.prefetch_bytes_served += chunk.payload_bytes
-                self.stats.bytes_served += chunk.payload_bytes
             try:
-                successors = self.successors_of(addr)
+                if is_resident(addr):
+                    successors = src.successors_of(addr)
+                else:
+                    chunk = src._obtain(addr)
+                    batch.append((chunk, src.payload_of(chunk)))
+                    mst = mc.stats
+                    mst.prefetch_chunks_sent += 1
+                    mst.prefetch_bytes_served += chunk.payload_bytes
+                    mst.bytes_served += chunk.payload_bytes
+                    successors = chunk.successors
             except ChunkError:
-                self._unchunkable.add(addr)
+                src._unchunkable.add(addr)
                 continue
             for succ in successors:
                 if succ not in seen:
@@ -434,56 +423,6 @@ class MemoryController:
                 prefetch_bytes=sum(c.payload_bytes
                                    for c, _ in batch[1:]))
         return batch
-
-    def prefetch_one(self, addr: int) -> tuple[Chunk, bytes]:
-        """Produce one speculative chunk for a batched reply.
-
-        Same accounting as the prefetch arm of :meth:`serve_batch`;
-        split out so a sharded tier can route each prefetched chunk to
-        its owning shard while keeping the walk logic in one place.
-        Raises :class:`ChunkError` if the address cannot be chunked.
-        """
-        stale = self._stale_for_client()
-        if stale is not None:
-            chunk, payload = stale.prefetch_one(addr)
-            self.stats.prefetch_chunks_sent += 1
-            self.stats.prefetch_bytes_served += chunk.payload_bytes
-            self.stats.bytes_served += chunk.payload_bytes
-            return chunk, payload
-        chunk = self._obtain(addr)
-        payload = self.payload_of(chunk)
-        self.stats.prefetch_chunks_sent += 1
-        self.stats.prefetch_bytes_served += chunk.payload_bytes
-        self.stats.bytes_served += chunk.payload_bytes
-        return chunk, payload
-
-    def serve_data(self, addr: int, length: int) -> bytes:
-        """Service a data miss (software D-cache refill, §3)."""
-        self.stats.data_requests += 1
-        self.stats.data_bytes_served += length
-        return self._server_memory_read(addr, length)
-
-    def accept_writeback(self, addr: int, data: bytes) -> None:
-        """Accept a dirty D-cache block writeback."""
-        self.stats.writebacks += 1
-        self.stats.writeback_bytes += len(data)
-        self._server_memory_write(addr, data)
-
-    # The MC's copy of data memory: backed by the image initially; the
-    # D-cache system replaces these hooks with its server-memory store.
-    _server_read_hook = None
-    _server_write_hook = None
-
-    def _server_memory_read(self, addr: int, length: int) -> bytes:
-        if self._server_read_hook is not None:
-            return self._server_read_hook(addr, length)
-        raise ChunkError("no server data store attached")
-
-    def _server_memory_write(self, addr: int, data: bytes) -> None:
-        if self._server_write_hook is not None:
-            self._server_write_hook(addr, data)
-            return
-        raise ChunkError("no server data store attached")
 
     def invalidate_chunks(self, addr: int, length: int) -> int:
         """Drop cached chunks overlapping [addr, addr+length).

@@ -212,8 +212,8 @@ def test_rewriter_word_counts_stable():
     mc_plain = MemoryController(image)
     mc_rw = MemoryController(image)
     mc_rw.data_rewriter = DataRewriter(image)
-    plain = mc_plain.serve_chunk(image.symbols["sweep"])
-    rewritten = mc_rw.serve_chunk(image.symbols["sweep"])
+    [(plain, _)] = mc_plain.serve_batch(image.symbols["sweep"], 0, None)
+    [(rewritten, _)] = mc_rw.serve_batch(image.symbols["sweep"], 0, None)
     assert len(plain.words) == len(rewritten.words)
     assert plain.exits == rewritten.exits
 

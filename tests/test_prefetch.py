@@ -42,13 +42,13 @@ def sensor_image():
 
 def test_successor_graph_well_formed(chain_image):
     mc = MemoryController(chain_image, granularity="block")
-    chunk = mc.serve_chunk(chain_image.entry)
+    [(chunk, _)] = mc.serve_batch(chain_image.entry, 0, None)
     succs = chunk.successors
     assert succs == mc.successors_of(chain_image.entry)
     assert chunk.orig not in succs          # no self edges
     assert len(set(succs)) == len(succs)    # deduplicated
     for succ in succs:                      # every edge is chunkable
-        assert mc.serve_chunk(succ).orig == succ
+        assert mc.serve_batch(succ, 0, None)[0][0].orig == succ
 
 
 def test_serve_batch_demand_first_and_depth_cap(chain_image):
