@@ -12,7 +12,6 @@ capture/replay machinery.  See docs/FLEET.md.
 from .fleet import ClientResult, FleetResult, ShardLoad, simulate_fleet
 from .sched import (
     ClientTrace,
-    MCProbe,
     RpcRecord,
     SimOutcome,
     WireTap,
@@ -26,7 +25,7 @@ from .shard import (
 
 __all__ = [
     "ClientResult", "FleetResult", "ShardLoad", "simulate_fleet",
-    "ClientTrace", "MCProbe", "RpcRecord", "SimOutcome", "WireTap",
+    "ClientTrace", "RpcRecord", "SimOutcome", "WireTap",
     "run_event_sim",
     "ConsistentHashRing", "ShardedMemoryController",
     "aggregate_mc_stats",

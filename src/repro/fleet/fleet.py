@@ -28,7 +28,6 @@ from ..net import LinkModel
 from ..softcache import RunReport, SoftCacheConfig, SoftCacheSystem
 from .sched import (
     ClientTrace,
-    MCProbe,
     SimOutcome,
     WireTap,
     run_event_sim,
@@ -286,7 +285,6 @@ def simulate_fleet(image: Image, n_clients: int,
         # live ops plane (repro fleet --serve): /inspect/shards and
         # /metrics track the shared server tier while the fleet runs
         server.attach_fleet(shared_mc)
-    probe = MCProbe(shared_mc)
 
     if distinct_clients is None:
         # cold client + one warm chunk-cache-hit client; under faults,
@@ -326,7 +324,7 @@ def simulate_fleet(image: Image, n_clients: int,
             # read-only: mid-capture retuning would break the
             # clients-are-identical replay contract
             server.attach_system(system, control=False)
-        tap = WireTap(system, probe)
+        tap = WireTap(system)
         report = system.run(max_instructions)
         if child is not None:
             recorder.merge(child, cycle_offset=int(start * cpu_hz))

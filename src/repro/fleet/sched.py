@@ -16,8 +16,9 @@ client's channel and records every RPC as an :class:`RpcRecord`: the
 client-clock cycle at which it was issued, the wire occupancy of
 every real traversal (fault-layer retries traverse the inner wire
 channel once per delivered attempt, so retry storms are captured as
-extra occupancy, not estimated), and the consistent-hash owner of the
-demanded chunk (staged by an :class:`MCProbe` on the shared MC).
+extra occupancy, not estimated), and, read from the served reply the
+chunk RPC carries, the consistent-hash owner of the demanded chunk
+and the :func:`~repro.net.hub.hub_key` of every chunk.
 
 **Replay.**  Every fleet client is then a resumable state machine
 over a captured timeline, advanced by one event queue on a single
@@ -42,7 +43,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from ..net.hub import LruChunkCache
+from ..net.hub import LruChunkCache, hub_key
 
 #: Consecutive events that must find the uplink busy before the
 #: replay tries a round, and the fewest arrived events a try must find
@@ -66,9 +67,11 @@ class RpcRecord:
     #: Consistent-hash owner of the demanded chunk, -1 for non-chunk
     #: traffic (which never visits the origin-shard tier).
     shard: int
-    #: ``(orig, payload_bytes)`` per chunk the reply carried (demand
-    #: first); the edge hub is warmed and probed with these.
-    keys: tuple[tuple[int, int], ...]
+    #: ``(hub_key, payload_bytes)`` per chunk the reply carried
+    #: (demand first); the edge hub is warmed and probed with these.
+    #: A key is the plain original address at epoch 0 and
+    #: ``(group, epoch, orig)`` once an image has been republished.
+    keys: tuple
 
 
 @dataclass
@@ -85,45 +88,6 @@ class ClientTrace:
     retries: int = 0
 
 
-class MCProbe:
-    """Stages (owner shard, chunk keys) of each MC serve for the tap.
-
-    Installed once per shared MC (the same instance-method wrapping
-    the hub's ``with_hub`` uses) on ``serve_batch``, the CC's only way
-    to fetch a chunk: the CC serves a batch *then* exchanges it, so
-    whatever was staged last belongs to the next ``chunk`` RPC the
-    :class:`WireTap` brackets.  *mc* is the fleet's
-    :class:`~repro.fleet.shard.ShardedMemoryController`; the demanded
-    chunk's ring owner is the RPC's shard.
-    """
-
-    def __init__(self, mc):
-        self._owner = mc.owner_of
-        self._shard = -1
-        self._keys: tuple[tuple[int, int], ...] = ()
-        orig_batch = mc.serve_batch
-        probe = self
-
-        def serve_batch(orig_addr, depth, is_resident):
-            batch = orig_batch(orig_addr, depth, is_resident)
-            probe._stage(orig_addr,
-                         tuple((c.orig, c.payload_bytes)
-                               for c, _ in batch))
-            return batch
-
-        mc.serve_batch = serve_batch
-
-    def _stage(self, demand: int,
-               keys: tuple[tuple[int, int], ...]) -> None:
-        self._shard = self._owner(demand)
-        self._keys = keys
-
-    def take(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        out = (self._shard, self._keys)
-        self._shard, self._keys = -1, ()
-        return out
-
-
 class WireTap:
     """Brackets every RPC of one capture client into RpcRecords.
 
@@ -131,15 +95,17 @@ class WireTap:
     faults are installed, else the plain :class:`Channel`) to mark RPC
     boundaries at the client clock, and the inner wire channel to
     accumulate per-traversal occupancy — so a retried exchange records
-    one RPC with several traversals.  Pure observation: the wrapped
-    methods are called unchanged, so a tapped run is bit-identical to
-    an untapped one.
+    one RPC with several traversals.  A chunk RPC's owner shard and
+    keys are read from the reply it carries; the MC must offer
+    ``owner_of`` (the fleet's
+    :class:`~repro.fleet.shard.ShardedMemoryController` does).  Pure
+    observation: the wrapped methods are called unchanged, so a tapped
+    run is bit-identical to an untapped one.
     """
 
-    def __init__(self, system, probe: MCProbe | None = None):
+    def __init__(self, system):
         self.records: list[RpcRecord] = []
         self._cpu = system.machine.cpu
-        self._probe = probe
         outer = system.channel
         inner = getattr(outer, "inner", outer)
         self.link = inner.link
@@ -148,8 +114,6 @@ class WireTap:
         self._wire_s = 0.0
         self._wire_bytes = 0
         self._traversals = 0
-        self._shard = -1
-        self._keys: tuple[tuple[int, int], ...] = ()
         # wire wrappers go on first: when faults are off, inner IS
         # outer and the bracket must wrap the wire accounting (the
         # bracket resets the traversal accumulators on entry)
@@ -167,9 +131,9 @@ class WireTap:
             with self._rpc(kind):
                 return orig_ex(kind, payload_bytes)
 
-        def batch_exchange(kind, sizes):
-            with self._rpc(kind):
-                return orig_batch(kind, sizes)
+        def batch_exchange(mc, pairs):
+            with self._rpc("chunk", mc, pairs):
+                return orig_batch(mc, pairs)
 
         def send(kind, payload_bytes):
             with self._rpc(kind):
@@ -193,12 +157,12 @@ class WireTap:
             self._traverse(payload_bytes + link.exchange_overhead_bytes)
             return orig_ex(kind, payload_bytes)
 
-        def batch_exchange(kind, sizes):
-            if len(sizes) > 1:
-                self._traverse(sum(sizes) +
-                               link.batch_overhead_bytes(len(sizes)))
-            # a batch of <= 1 delegates to .exchange, which accounts
-            return orig_batch(kind, sizes)
+        def batch_exchange(mc, pairs):
+            if len(pairs) > 1:
+                self._traverse(sum(c.payload_bytes for c, _ in pairs) +
+                               link.batch_overhead_bytes(len(pairs)))
+            # a batch of one delegates to .exchange, which accounts
+            return orig_batch(mc, pairs)
 
         def send(kind, payload_bytes):
             self._traverse(payload_bytes + link.request_bytes)
@@ -216,7 +180,7 @@ class WireTap:
         self._traversals += 1
 
     @contextmanager
-    def _rpc(self, kind: str):
+    def _rpc(self, kind: str, mc=None, pairs=()):
         if self._depth:
             self._depth += 1
             try:
@@ -229,9 +193,11 @@ class WireTap:
         self._wire_s = 0.0
         self._wire_bytes = 0
         self._traversals = 0
-        self._shard, self._keys = -1, ()
-        if kind == "chunk" and self._probe is not None:
-            self._shard, self._keys = self._probe.take()
+        shard, keys = -1, ()
+        if pairs:
+            shard = mc.owner_of(pairs[0][0].orig)
+            keys = tuple((hub_key(mc, chunk.orig), chunk.payload_bytes)
+                         for chunk, _ in pairs)
         try:
             # a LinkDown mid-RPC still closes the record: traversals
             # that reached the wire are real load, and the degraded-
@@ -242,8 +208,7 @@ class WireTap:
             self.records.append(RpcRecord(
                 start_cycles=self._start, kind=kind,
                 wire_s=self._wire_s, wire_bytes=self._wire_bytes,
-                traversals=self._traversals,
-                shard=self._shard, keys=self._keys))
+                traversals=self._traversals, shard=shard, keys=keys))
 
     # -- trace assembly ------------------------------------------------
 

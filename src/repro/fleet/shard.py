@@ -5,11 +5,11 @@ chunk ownership decided by a consistent-hash ring over original
 addresses (Open-CAS keeps per-core cache statistics the same way:
 each worker owns a stable slice of the key space and reports its own
 counters).  The :class:`ShardedMemoryController` is a drop-in for a
-single ``MemoryController``: the cache controller and fault layer see
-the usual ``serve_batch`` / ``checksum_of`` surface, while every
-request lands on the shard that owns the chunk and is accounted in
-that shard's :class:`~repro.softcache.mc.MCStats`.  There is one batch
-walk, :meth:`MemoryController.serve_batch`: the tier enters it at the
+single ``MemoryController``: the cache controller sees the usual
+``serve_batch`` surface, while every request lands on the shard that
+owns the chunk and is accounted in that shard's
+:class:`~repro.softcache.mc.MCStats`.  There is one batch walk,
+:meth:`MemoryController.serve_batch`: the tier enters it at the
 demanded chunk's owner and hands it the ring, so each prefetched chunk
 is produced and billed by its own owner.
 
@@ -137,7 +137,6 @@ class ShardedMemoryController:
                  granularity: str = "block", *, vnodes: int = 64):
         if n_shards < 1:
             raise ValueError("need at least one shard")
-        self.image = image
         self.granularity = granularity
         self.shards = [MemoryController(image, granularity=granularity)
                        for _ in range(n_shards)]
@@ -186,6 +185,10 @@ class ShardedMemoryController:
         return self.shards[0].epoch
 
     @property
+    def image(self) -> Image:
+        return self.shards[0].image
+
+    @property
     def image_digest(self) -> str:
         return self.shards[0].image_digest
 
@@ -212,7 +215,6 @@ class ShardedMemoryController:
         if len(epochs) != 1:
             raise ChunkError(f"shard epochs diverged on publish: "
                              f"{sorted(epochs)}")
-        self.image = self.shards[0].image
         return epochs.pop()
 
     def dirty_spans_between(self, a: int, b: int):
@@ -239,9 +241,6 @@ class ShardedMemoryController:
         return self.shards[self.ring.owner(orig_addr)]
 
     # -- miss service --------------------------------------------------
-
-    def checksum_of(self, chunk: Chunk) -> int:
-        return self.shard_for(chunk.orig).checksum_of(chunk)
 
     def serve_batch(self, orig_addr: int, depth: int,
                     is_resident: Callable[[int], bool]

@@ -10,6 +10,12 @@ multilevel-caching remark), and a fault-injection layer
 and degraded resident mode.  Defaults match the paper's testbed:
 10 Mbps Ethernet, 60 application bytes of protocol overhead per chunk
 exchange.
+
+A chunk RPC is ``channel.batch_exchange(mc, pairs)``: the argument is
+the reply the MC served, ``[(chunk, payload), ...]`` with the demanded
+chunk first, and each layer reads what it needs from that one call —
+the link its sizes, the hub its keys (:func:`~repro.net.hub.hub_key`),
+the fault layer the payload bytes a corruption flips and their CRC32.
 """
 
 from .faults import (FaultPlan, FaultStats, FaultyChannel, LinkDown,

@@ -357,22 +357,20 @@ class FaultyChannel:
     """A Channel/HubChannel wrapper that injects plan-driven faults.
 
     Duck-typed as a :class:`~repro.net.link.Channel`: unknown
-    attributes (``stats``, ``hub_stats``, ``next_keys``…) delegate to
-    the wrapped channel, so the rest of the stack is oblivious.  Every
-    returned ``seconds`` value folds in timeouts and backoff, so the
-    CC's existing ``_charge_link`` conversion charges retries to the
-    simulated CPU without modification.  Each call is forwarded as
+    attributes (``stats``, ``hub_stats``…) delegate to the wrapped
+    channel, so the rest of the stack is oblivious.  Every returned
+    ``seconds`` value folds in timeouts and backoff, so the CC's
+    existing ``_charge_link`` conversion charges retries to the
+    simulated CPU without modification.  Each attempt is forwarded as
     the same call on the wrapped channel: a chunk RPC, whatever its
-    length, is a ``batch_exchange``, and a replayed one re-arms a
-    hub's ``next_keys``.
+    length, is a ``batch_exchange`` of the served reply.
 
-    Chunk exchanges carry staged ``(payload, checksum)`` pairs (set by
-    the CC via :meth:`stage_payloads`); a ``corrupt`` outcome flips a
-    byte of the in-flight copy and verifies the reply-header checksum
-    actually rejects it.  On the chunk miss path an exhausted retry
-    budget raises :class:`LinkDown`; all other kinds (data refills,
-    writebacks on an acknowledged transport) reconnect internally and
-    always deliver.
+    A ``corrupt`` outcome on a chunk RPC flips a byte of a payload
+    the reply carries and verifies that the reply-header checksum
+    (CRC32 over the payload, :func:`chunk_checksum`) actually rejects
+    it.  On the chunk miss path an exhausted retry budget raises
+    :class:`LinkDown`; all other kinds (data refills, writebacks on an
+    acknowledged transport) reconnect internally and always deliver.
     """
 
     def __init__(self, inner, plan: FaultPlan,
@@ -389,7 +387,6 @@ class FaultyChannel:
         self._backoff_rng = random.Random(
             (plan.seed * 0x9E3779B1 + 1) & 0xFFFFFFFF)
         self.tracer = None
-        self._staged: list[tuple[bytes, int]] | None = None
         #: True between a retry-budget exhaustion and the next
         #: successful delivery (the CC's degraded-mode window).
         self.down = False
@@ -397,28 +394,23 @@ class FaultyChannel:
     def __getattr__(self, name):
         return getattr(self.__dict__["inner"], name)
 
-    # -- staging ------------------------------------------------------
-
-    def stage_payloads(self, items: Sequence[tuple[bytes, int]]) -> None:
-        """Attach the (payload, checksum) pairs of the next chunk
-        exchange so corruption outcomes operate on real bytes."""
-        self._staged = list(items)
-
     # -- channel interface --------------------------------------------
 
     def exchange(self, kind: str, payload_bytes: int) -> float:
-        return self._deliver(kind, (payload_bytes,), batched=False)
+        return self._deliver(kind, (payload_bytes,), "exchange",
+                             (kind, payload_bytes))
 
-    def batch_exchange(self, kind: str,
-                       payload_sizes: Sequence[int]) -> float:
-        return self._deliver(kind, tuple(payload_sizes), batched=True)
+    def batch_exchange(self, mc, pairs: Sequence) -> float:
+        return self._deliver(
+            "chunk", tuple(chunk.payload_bytes for chunk, _ in pairs),
+            "batch_exchange", (mc, pairs), pairs)
 
     def send(self, kind: str, payload_bytes: int) -> float:
         # one-way messages ride an acknowledged transport: a lost one
         # is re-sent after a timeout, never silently dropped (a lost
         # writeback would corrupt server state).
-        return self._deliver(kind, (payload_bytes,), batched=False,
-                             one_way=True)
+        return self._deliver(kind, (payload_bytes,), "send",
+                             (kind, payload_bytes))
 
     def wait_reconnect(self) -> float:
         """Stall until the link is plausibly back, returning the
@@ -446,14 +438,15 @@ class FaultyChannel:
 
     # -- the retry loop -----------------------------------------------
 
-    def _deliver(self, kind: str, sizes: tuple[int, ...],
-                 batched: bool, one_way: bool = False) -> float:
+    def _deliver(self, kind: str, sizes: tuple[int, ...], method: str,
+                 args: tuple, pairs: Sequence = ()) -> float:
+        """Run one RPC through the plan: each attempt that reaches
+        the server calls ``inner.<method>(*args)`` once.  *pairs* is
+        the served reply of a chunk RPC, empty for other traffic."""
         policy = self.policy
         st = self.fault_stats
         trc = self.tracer
-        payloads = self._staged
-        self._staged = None
-        keys = getattr(self.inner, "next_keys", None)
+        one_way = method == "send"
         can_trap = kind == "chunk" and not one_way
         seconds = 0.0
         attempt = 0
@@ -464,8 +457,7 @@ class FaultyChannel:
             attempt += 1
             st.attempts += 1
             if outcome in _REACHES_SERVER:
-                inner_s = self._call_inner(kind, sizes, batched, one_way,
-                                           keys, replay=reached)
+                inner_s = self._call_inner(method, args, replay=reached)
                 reached = True
                 if outcome == "drop_reply":
                     st.drops_reply += 1
@@ -475,7 +467,7 @@ class FaultyChannel:
                         trc.emit("fault.drop", "fault", kind=kind,
                                  attempt=attempt, where="reply")
                 elif outcome == "corrupt" and not self._corrupt_slips(
-                        payloads, info, kind, attempt):
+                        pairs, info, kind, attempt):
                     seconds += inner_s  # reply arrived, then rejected
                 else:
                     st.delivered += 1
@@ -542,29 +534,22 @@ class FaultyChannel:
                              attempt=attempt, backoff_s=backoff)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _call_inner(self, kind, sizes, batched, one_way, keys,
+    def _call_inner(self, method: str, args: tuple,
                     replay: bool) -> float:
-        """Traverse the wrapped channel once, re-arming a hub's batch
-        keys and flagging replays so hub hit-rate accounting can tell
-        a replayed request from a fresh one."""
+        """Traverse the wrapped channel once, flagging replays so hub
+        hit-rate accounting can tell a replayed request from a fresh
+        one."""
         inner = self.inner
-        is_hub = hasattr(inner, "replaying")
-        if replay:
-            if keys is not None:
-                inner.next_keys = keys
-            if is_hub:
-                inner.replaying = True
+        call = getattr(inner, method)
+        if not (replay and hasattr(inner, "replaying")):
+            return call(*args)
+        inner.replaying = True
         try:
-            if one_way:
-                return inner.send(kind, sizes[0])
-            if batched:
-                return inner.batch_exchange(kind, sizes)
-            return inner.exchange(kind, sizes[0])
+            return call(*args)
         finally:
-            if replay and is_hub:
-                inner.replaying = False
+            inner.replaying = False
 
-    def _corrupt_slips(self, payloads, info, kind, attempt) -> bool:
+    def _corrupt_slips(self, pairs, info, kind, attempt) -> bool:
         """Model one corrupted reply; True if it evades the checksum
         (never, for CRC32 over a single flipped byte — the return
         value exists so the verification is real, not assumed)."""
@@ -573,20 +558,19 @@ class FaultyChannel:
         if self.tracer is not None:
             self.tracer.emit("fault.corrupt", "fault", kind=kind,
                              attempt=attempt)
-        if not payloads:
+        if not pairs:
             # non-chunk traffic: transport-level checksum catches it
             st.checksum_failures += 1
             return False
         where = info["where"]
-        payload, checksum = payloads[int(where * len(payloads))
-                                     % len(payloads)]
+        _, payload = pairs[int(where * len(pairs)) % len(pairs)]
         if not payload:
             st.checksum_failures += 1
             return False
         corrupted = bytearray(payload)
         pos = int(where * len(corrupted)) % len(corrupted)
         corrupted[pos] ^= 0xFF
-        if chunk_checksum(bytes(corrupted)) == checksum:
+        if chunk_checksum(bytes(corrupted)) == chunk_checksum(payload):
             return True  # pragma: no cover - CRC32 catches bit flips
         st.checksum_failures += 1
         return False
@@ -614,7 +598,6 @@ def install_faults(system, plan: FaultPlan | None,
     chan.tracer = getattr(system.channel, "tracer", None)
     system.channel = chan
     system.cc.channel = chan
-    system.cc._stager = chan.stage_payloads
     if getattr(system, "dcache", None) is not None:
         system.dcache.channel = chan
     return chan

@@ -7,10 +7,11 @@ hop away instead of across the backhaul to the origin server.
 
 :class:`HubChannel` wraps the CC's channel: a chunk RPC first costs
 the near link; on a hub miss the far link is traversed too and the
-chunk (keyed by original address) is cached at the hub with LRU
-replacement.  Every chunk RPC is a batch (a plain miss is a batch of
-one), and a reply populates the hub with every chunk it carries, so
-one client's prefetch warms the hub for the whole fleet.
+chunk (keyed by :func:`hub_key`, read from the served reply the RPC
+carries) is cached at the hub with LRU replacement.  Every chunk RPC
+is a batch (a plain miss is a batch of one), and a reply populates
+the hub with every chunk it carries, so one client's prefetch warms
+the hub for the whole fleet.
 
 Only ``chunk`` traffic is cached.  Every other kind (data refills,
 writebacks, invalidations) is a deliberate **pass-through**: the hub
@@ -154,9 +155,9 @@ class HubChannel(Channel):
     Drop-in replacement for :class:`~repro.net.Channel`: the
     SoftCacheSystem is constructed normally and its ``channel`` is
     swapped for a HubChannel (see ``with_hub``).  A chunk RPC is a
-    keyed :meth:`batch_exchange` (a demand miss at depth 0 is a batch
-    of one); :meth:`exchange` and any unkeyed batch are the
-    pass-through, both hops paid and recorded.
+    :meth:`batch_exchange` of the served reply (a demand miss at
+    depth 0 is a batch of one); :meth:`exchange` is the pass-through,
+    both hops paid and recorded.
     """
 
     def __init__(self, near: LinkModel, far: LinkModel,
@@ -166,9 +167,6 @@ class HubChannel(Channel):
         self.capacity = capacity_bytes
         self.hub_stats = HubStats()
         self._cache = LruChunkCache(capacity_bytes)
-        #: set per-batch by the MC wrapper; one key per batched chunk,
-        #: demanded chunk first.
-        self.next_keys: list[int] | None = None
         #: set by the fault layer before re-traversing this channel
         #: for an exchange the hub already saw (a link-layer retry);
         #: replayed requests keep their wire accounting but are kept
@@ -220,34 +218,31 @@ class HubChannel(Channel):
         return seconds + self._record_far_batch((payload_bytes,),
                                                 replay=replay)
 
-    def batch_exchange(self, kind: str,
-                       payload_sizes: Sequence[int]) -> float:
+    def batch_exchange(self, mc, pairs: Sequence) -> float:
         """One chunk RPC through the hub.
 
-        The hub forwards one far-link batch for the chunks it lacks
-        and serves the rest from its cache; **every** chunk in the
-        reply is keyed into the hub cache, so chunks a client merely
-        prefetched are hub hits for the next client's demand miss.
+        *pairs* is the reply *mc* served; each chunk is keyed by
+        :func:`hub_key` at the epoch that produced it.  The hub
+        forwards one far-link batch for the chunks it lacks and serves
+        the rest from its cache; **every** chunk in the reply is keyed
+        into the hub cache, so chunks a client merely prefetched are
+        hub hits for the next client's demand miss.
         """
         replay = self.replaying
         self.replaying = False
-        keys = self.next_keys
-        self.next_keys = None
         # the near hop: a batch of one is a plain exchange, as in
         # Channel.batch_exchange, but not through the pass-through
         # exchange() above, which would pay the far hop too
-        if len(payload_sizes) <= 1:
-            seconds = super().exchange(kind, sum(payload_sizes))
+        if len(pairs) <= 1:
+            seconds = super().exchange("chunk",
+                                       pairs[0][0].payload_bytes)
         else:
-            seconds = super().batch_exchange(kind, payload_sizes)
-        if kind != "chunk" or keys is None or \
-                len(keys) != len(payload_sizes):
-            # unkeyed: a pass-through like exchange()
-            return seconds + self._record_far_batch(payload_sizes,
-                                                    replay=replay)
+            seconds = super().batch_exchange(mc, pairs)
         stats = self.hub_stats
+        keyed = [(hub_key(mc, chunk.orig), chunk.payload_bytes)
+                 for chunk, _ in pairs]
         missing: list[int] = []
-        for key, size in zip(keys, payload_sizes):
+        for key, size in keyed:
             if replay:
                 # link-layer retry of a request this hub already
                 # served: pay the wire again, but keep it out of the
@@ -274,7 +269,7 @@ class HubChannel(Channel):
                 missing.append(size)
         if missing:
             seconds += self._record_far_batch(missing, replay=replay)
-        for key, size in zip(keys, payload_sizes):
+        for key, size in keyed:
             self._cache_insert(key, size)
         return seconds
 
@@ -285,14 +280,13 @@ def with_hub(system, near: LinkModel | None = None,
              hub: HubChannel | None = None) -> HubChannel:
     """Insert a hub cache between *system*'s CC and its MC.
 
-    Wraps the MC's ``serve_batch``, the CC's only way to fetch a
-    chunk, so that each served reply hands the hub its keys (one per
-    chunk, demanded chunk first) for the ``batch_exchange`` that
-    follows.  Returns the installed :class:`HubChannel` (whose
-    ``hub_stats`` report hit rates).  Call before ``system.run()``.
-    Pass an existing *hub* to share one mid-tier cache between several
-    client systems (the cell-tower scenario: systems built with a
-    ``shared_mc`` and one hub see each other's chunks).
+    Swaps the system's channel for a :class:`HubChannel`, which keys
+    each chunk RPC from the reply it carries.  Returns the installed
+    hub (whose ``hub_stats`` report hit rates).  Call before
+    ``system.run()``.  Pass an existing *hub* to share one mid-tier
+    cache between several client systems (the cell-tower scenario:
+    systems built with a ``shared_mc`` and one hub see each other's
+    chunks).
     """
     if hub is None:
         near = near or LinkModel()
@@ -304,21 +298,4 @@ def with_hub(system, near: LinkModel | None = None,
         hub.tracer = system.channel.tracer
     system.channel = hub
     system.cc.channel = hub
-
-    mc = system.mc
-    if getattr(mc, "_hub_wrapped", None) is hub:
-        return hub  # shared MC already feeds this hub's key plumbing
-
-    original_batch = mc.serve_batch
-
-    def serving_batch(orig_addr: int, depth: int, is_resident):
-        # key AFTER serving: the serve resolves which epoch this
-        # client is drawing from (mc.last_served_epoch), and the key
-        # must carry the epoch that produced the bytes
-        batch = original_batch(orig_addr, depth, is_resident)
-        hub.next_keys = [hub_key(mc, chunk.orig) for chunk, _ in batch]
-        return batch
-
-    mc.serve_batch = serving_batch
-    mc._hub_wrapped = hub
     return hub

@@ -156,33 +156,34 @@ class Channel:
                              seconds=seconds)
         return seconds
 
-    def batch_exchange(self, kind: str,
-                       payload_sizes: Sequence[int]) -> float:
+    def batch_exchange(self, mc, pairs: Sequence) -> float:
         """One chunk RPC: the CC's only way to fetch chunks.
 
-        A reply of several chunks is a prefetch batch.  A batch of
-        one, every miss at ``prefetch_depth=0`` and every pin, goes
-        through ``self.exchange``, so it is accounted exactly as the
-        paper's one-chunk RPC (and a wrapper of ``exchange`` sees it).
+        *pairs* is the reply *mc* served, ``[(chunk, payload), ...]``
+        with the demanded chunk first; this layer reads only the
+        sizes.  A reply of several chunks is a prefetch batch.  A
+        batch of one, every miss at ``prefetch_depth=0`` and every
+        pin, goes through ``self.exchange``, so it is accounted
+        exactly as the paper's one-chunk RPC (and a wrapper of
+        ``exchange`` sees it).
         """
-        if len(payload_sizes) <= 1:
-            return self.exchange(kind, sum(payload_sizes))
+        if len(pairs) <= 1:
+            return self.exchange("chunk", pairs[0][0].payload_bytes)
+        sizes = [chunk.payload_bytes for chunk, _ in pairs]
         link = self.link
-        seconds = link.batch_exchange_time(payload_sizes)
+        seconds = link.batch_exchange_time(sizes)
         stats = self.stats
         stats.exchanges += 1
         stats.batch_exchanges += 1
-        stats.batched_chunks += len(payload_sizes)
-        stats.payload_bytes += sum(payload_sizes)
-        stats.overhead_bytes += link.batch_overhead_bytes(
-            len(payload_sizes))
+        stats.batched_chunks += len(sizes)
+        stats.payload_bytes += sum(sizes)
+        stats.overhead_bytes += link.batch_overhead_bytes(len(sizes))
         stats.exchange_overhead_bytes += link.exchange_overhead_bytes
         stats.busy_seconds += seconds
-        stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
+        stats.by_kind["chunk"] = stats.by_kind.get("chunk", 0) + 1
         if self.tracer is not None:
-            self.tracer.emit("link.batch", "link", kind=kind,
-                             chunks=len(payload_sizes),
-                             payload=sum(payload_sizes),
+            self.tracer.emit("link.batch", "link", kind="chunk",
+                             chunks=len(sizes), payload=sum(sizes),
                              seconds=seconds)
         return seconds
 

@@ -169,10 +169,6 @@ class BaseCacheController:
         #: Blocking RPC semantics mean at most one is outstanding, but
         #: the list form is what check_consistency audits.
         self.pending_misses: list[int] = []
-        #: Fault layer's payload-staging hook (install_faults rebinds
-        #: this); None on a fault-free channel, keeping the miss path
-        #: free of checksum work.
-        self._stager = getattr(channel, "stage_payloads", None)
         #: Ops-plane control queue (:class:`repro.obs.server.
         #: ControlPlane`), or None.  Admin commands posted over HTTP
         #: are applied at the next miss boundary — the only safe
@@ -504,12 +500,10 @@ class BaseCacheController:
         """One chunk RPC, fault-aware.
 
         *pairs* is what ``mc.serve_batch(orig, depth, ...)`` returned:
-        ``[(chunk, payload), ...]``, demanded chunk first.  On a
-        fault-free channel this is one ``batch_exchange``; with faults
-        installed the reply payloads and their header checksums are
-        staged first (so corruption is detected on real bytes), and an
-        exhausted retry budget drops into degraded resident mode, which
-        re-serves at the same *depth*.
+        ``[(chunk, payload), ...]``, demanded chunk first, and it is
+        the argument of the one ``batch_exchange``.  With faults
+        installed an exhausted retry budget drops into degraded
+        resident mode, which re-serves at the same *depth*.
 
         Returns ``(link seconds, delivered pairs)``.  The delivered
         pairs are what the caller must install: an outage replay
@@ -517,12 +511,8 @@ class BaseCacheController:
         pairs belong to the epoch the client crossed to — installing
         the pre-outage capture would be a torn version.
         """
-        sizes = [c.payload_bytes for c, _ in pairs]
-        if self._stager is not None:
-            mc = self.mc
-            self._stager([(p, mc.checksum_of(c)) for c, p in pairs])
         try:
-            return self.channel.batch_exchange("chunk", sizes), pairs
+            return self.channel.batch_exchange(self.mc, pairs), pairs
         except LinkDown as down:
             seconds, pairs = self._replay_after_reconnect(orig, depth)
             return down.seconds + seconds, pairs
@@ -571,15 +561,10 @@ class BaseCacheController:
             if self.debug_poison:
                 from .debug import check_consistency
                 check_consistency(self)
-            # re-issue the request: re-serve from the MC (re-priming
-            # any hub key plumbing) and re-stage the reply payloads
+            # re-issue the request: the MC serves it afresh
             pairs = self.mc.serve_batch(orig, depth, self._batch_filter)
-            sizes = [c.payload_bytes for c, _ in pairs]
-            if self._stager is not None:
-                mc = self.mc
-                self._stager([(p, mc.checksum_of(c)) for c, p in pairs])
             try:
-                seconds += channel.batch_exchange("chunk", sizes)
+                seconds += channel.batch_exchange(self.mc, pairs)
             except LinkDown as down:
                 seconds += down.seconds
                 continue

@@ -25,7 +25,11 @@ lever applied to the paper's "could easily be reduced to near zero"
 miss-service cost.  :meth:`MemoryController.serve_batch` is the one
 walk: a plain miss is a batch of one, a lagging client's batch walks
 its own epoch's graph, and a sharded tier enters it at the demanded
-chunk's owner and names the owner of every other chunk.
+chunk's owner and names the owner of every other chunk.  Its reply,
+``[(chunk, payload), ...]``, is the argument of the CC's chunk RPC
+(``channel.batch_exchange(mc, pairs)``): the link, hub and fault
+layers read the sizes, hub keys and payload bytes from it, so nothing
+wraps the MC to see a reply.
 """
 
 from __future__ import annotations
@@ -123,11 +127,10 @@ class MemoryController:
             0: ImageVersion(0, image, self.image_digest, True, ())}
         #: Epoch the requesting client still runs at (reply resolution
         #: happens at ``min`` semantics client-side; ``None`` = current).
-        #: Set by the CC before each serve; survives the probe/hub
-        #: wrappers because it is attribute state on this object.
+        #: Set by the CC before each serve.
         self.client_epoch: int | None = None
         #: Epoch the last serve actually resolved against (the reply
-        #: header's version tag; checksum_of follows it).
+        #: header's version tag; the hub keys entries with it).
         self.last_served_epoch = 0
         self._stale_mc: dict[int, "MemoryController"] = {}
         self.stats = MCStats()
@@ -144,9 +147,6 @@ class MemoryController:
         #: entries under proc granularity, targets outside text);
         #: remembered so batches do not retry them on every miss.
         self._unchunkable: set[int] = set()
-        #: CRC32 of each chunk's payload, carried in the reply header
-        #: so the client can reject corrupted deliveries (fault layer).
-        self._checksum_cache: dict[int, int] = {}
         #: Optional data-access rewriter (full-system mode, §3).
         self.data_rewriter = None
 
@@ -208,7 +208,6 @@ class MemoryController:
         self.chunker = self._make_chunker(new_image, self.granularity)
         self._chunk_cache.clear()
         self._payload_cache.clear()
-        self._checksum_cache.clear()
         self._successors.clear()
         self._unchunkable.clear()
         self.stats.publishes += 1
@@ -281,7 +280,9 @@ class MemoryController:
     def _stale_for_client(self) -> "MemoryController | None":
         """The serving MC for the requesting client's epoch: ``None``
         when the client is current (hot path), else a lazily built
-        server over the retained older version."""
+        server over the retained older version.  The retained server
+        bills its rewrites to this MC's ``stats`` (``chunks_built``
+        is the only counter it bumps) and has no tracer of its own."""
         epoch = self.client_epoch
         if epoch is None or epoch == self.epoch:
             self.last_served_epoch = self.epoch
@@ -295,6 +296,7 @@ class MemoryController:
                     f"epoch {epoch} is not servable (retired)")
             server = MemoryController(version.image, self.granularity,
                                       group=self.group)
+            server.stats = self.stats
             server.data_rewriter = self.data_rewriter
             self._stale_mc[epoch] = server
         return server
@@ -326,19 +328,6 @@ class MemoryController:
             self._payload_cache[chunk.orig] = payload
         return payload
 
-    def checksum_of(self, chunk: Chunk) -> int:
-        """The integrity word the reply header carries for *chunk*:
-        CRC32 over the pre-encoded payload, cached server-side."""
-        if self.last_served_epoch != self.epoch:
-            return self._stale_mc[self.last_served_epoch].checksum_of(
-                chunk)
-        checksum = self._checksum_cache.get(chunk.orig)
-        if checksum is None:
-            from ..net.faults import chunk_checksum
-            checksum = chunk_checksum(self.payload_of(chunk))
-            self._checksum_cache[chunk.orig] = checksum
-        return checksum
-
     def successors_of(self, orig_addr: int) -> tuple[int, ...]:
         """Static successors of the chunk at *orig_addr* (builds the
         chunk if the graph has no node for it yet)."""
@@ -364,9 +353,8 @@ class MemoryController:
         The client's epoch is resolved once and the walk runs over that
         epoch's graph.  *owner* maps an address to the MC that produces
         and bills its chunk (a sharded tier passes its ring's
-        ``shard_for``); by default that is this MC.  Every owner the
-        walk visits resolves the client's epoch too, so its
-        ``checksum_of`` follows the batch.
+        ``shard_for``); by default that is this MC.  Each owner the
+        walk visits produces its chunks at the client's epoch too.
         """
         stale = self._stale_for_client()
         server = stale or self
@@ -436,7 +424,6 @@ class MemoryController:
         for orig in stale:
             del self._chunk_cache[orig]
             self._payload_cache.pop(orig, None)
-            self._checksum_cache.pop(orig, None)
             self._successors.pop(orig, None)
         self._unchunkable.clear()
         for server in self._stale_mc.values():
@@ -447,8 +434,8 @@ class MemoryController:
         """Simulate an MC crash-restart (fault injection).
 
         Durable image versions survive but every server-side cache
-        comes back cold: chunks, payloads, checksums, the successor
-        graph and the unchunkable set are all rebuilt on demand.
+        comes back cold: chunks, payloads, the successor graph and the
+        unchunkable set are all rebuilt on demand.
         Rewriting is deterministic, so the rebuilt chunks are
         byte-identical — the client only pays extra service time,
         never sees different code.  Non-durable published epochs are
@@ -472,7 +459,6 @@ class MemoryController:
         self._stale_mc.clear()
         self._chunk_cache.clear()
         self._payload_cache.clear()
-        self._checksum_cache.clear()
         self._successors.clear()
         self._unchunkable.clear()
         self.stats.restarts += 1

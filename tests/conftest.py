@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.asm import assemble_and_link
@@ -17,6 +19,14 @@ def _hermetic_trace_cache(tmp_path_factory):
     set_trace_cache_dir(tmp_path_factory.mktemp("traces"))
     yield
     set_trace_cache_dir(None)
+
+
+def served_reply(*chunks):
+    """A stand-in for the reply ``mc.serve_batch`` returns: one
+    ``(chunk, payload)`` per ``(orig, payload_bytes)``, demand first,
+    for handing to a channel's ``batch_exchange``."""
+    return [(SimpleNamespace(orig=orig, payload_bytes=size), bytes(size))
+            for orig, size in chunks]
 
 
 def run_asm(source: str, max_instructions: int = 5_000_000) -> Machine:

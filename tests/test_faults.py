@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from conftest import served_reply
 from repro.net import (
     LOCAL_LINK,
     Channel,
@@ -212,14 +213,15 @@ def test_duplicate_wastes_what_its_message_costs():
     link = LinkModel()
     chan = FaultyChannel(Channel(link), FaultPlan(duplicate_p=1.0))
     st = chan.fault_stats
-    chan.batch_exchange("chunk", [100, 50, 25])
+    chan.batch_exchange(
+        None, served_reply((0x100, 100), (0x200, 50), (0x300, 25)))
     assert st.duplicate_wasted_s == pytest.approx(507.2e-6)
     assert st.duplicate_wasted_s == link.batch_exchange_time([100, 50, 25])
     wasted = st.duplicate_wasted_s
     chan.send("writeback", 64)
     assert st.duplicate_wasted_s - wasted == pytest.approx(220.4e-6)
     wasted = st.duplicate_wasted_s
-    chan.batch_exchange("chunk", [64])
+    chan.batch_exchange(None, served_reply((0x400, 64)))
     assert st.duplicate_wasted_s - wasted == pytest.approx(
         link.exchange_time(64))
     assert st.duplicates == 3
@@ -258,14 +260,13 @@ def test_reaches_server_set_matches_decider_outcomes():
 def test_hub_replay_does_not_inflate_hit_rate():
     hub = HubChannel(LinkModel(), LinkModel(bandwidth_bps=2e6,
                                             latency_s=5e-3))
-    hub.next_keys = [0x8000]
-    hub.batch_exchange("chunk", [512])  # fresh: miss, fills the cache
+    reply = served_reply((0x8000, 512))
+    hub.batch_exchange(None, reply)  # fresh: miss, fills the cache
     assert hub.hub_stats.requests == 1
     assert hub.hub_stats.hub_hits == 0
     before = hub.stats.payload_bytes
-    hub.next_keys = [0x8000]
     hub.replaying = True
-    hub.batch_exchange("chunk", [512])  # link-layer retry of the same
+    hub.batch_exchange(None, reply)  # link-layer retry of the same
     stats = hub.hub_stats
     assert stats.requests == 1          # not double counted
     assert stats.hub_hits == 0          # and no manufactured hit
@@ -282,10 +283,8 @@ def test_faulty_hub_serves_a_batch_of_one_through_the_cache():
                                        latency_s=5e-3)
     hub = HubChannel(near, far)
     chan = FaultyChannel(hub, FaultPlan())
-    hub.next_keys = [0x100]
-    chan.batch_exchange("chunk", [100])
-    hub.next_keys = [0x100]
-    t = chan.batch_exchange("chunk", [100])
+    chan.batch_exchange(None, served_reply((0x100, 100)))
+    t = chan.batch_exchange(None, served_reply((0x100, 100)))
     stats = hub.hub_stats
     assert (stats.requests, stats.origin_fetches, stats.hub_hits) == \
         (2, 1, 1)
@@ -295,12 +294,11 @@ def test_faulty_hub_serves_a_batch_of_one_through_the_cache():
 def test_hub_replay_batch_keeps_denominator():
     hub = HubChannel(LinkModel(), LinkModel(bandwidth_bps=2e6,
                                             latency_s=5e-3))
-    hub.next_keys = [1, 2, 3]
-    hub.batch_exchange("chunk", [100, 200, 300])
+    reply = served_reply((1, 100), (2, 200), (3, 300))
+    hub.batch_exchange(None, reply)
     assert hub.hub_stats.requests == 3
-    hub.next_keys = [1, 2, 3]
     hub.replaying = True
-    hub.batch_exchange("chunk", [100, 200, 300])
+    hub.batch_exchange(None, reply)
     assert hub.hub_stats.requests == 3
     assert hub.hub_stats.replayed_requests == 3
     assert hub.hub_stats.replayed_far_bytes == 0  # all cached by now

@@ -357,3 +357,75 @@ def test_admit_is_probe_refresh_reinsert(capacity, batches):
         assert (fused.cached_bytes, fused.evictions) == \
             (plain.cached_bytes, plain.evictions)
 
+
+# -- replay keys follow the serving epoch --------------------------------
+
+
+def _chunk_rpcs_with_epochs(image, config, n_clients, **kw):
+    """Capture a fleet; pair each chunk RpcRecord of every distinct
+    client with the image epoch that client was at when it issued the
+    RPC, read from the client's update barriers."""
+    systems, seen = [], {}
+
+    class Recorded(fleet_mod.SoftCacheSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            systems.append(self)
+
+    def spy(traces, boots, **kwargs):
+        seen["traces"] = traces
+        return run_event_sim(traces, boots, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fleet_mod, "SoftCacheSystem", Recorded)
+        mp.setattr(fleet_mod, "run_event_sim", spy)
+        fleet_mod.simulate_fleet(image, n_clients, config, **kw)
+    out = []
+    # the first traces are the distinct clients', in capture order
+    for system, trace in zip(systems, seen["traces"]):
+        for rec in trace.records:
+            if rec.kind != "chunk":
+                continue
+            epoch = 0
+            for cycles, crossed in system.cc.epoch_transitions:
+                if cycles <= rec.start_cycles:
+                    epoch = crossed
+            out.append((epoch, rec))
+    return out
+
+
+def test_replay_keys_are_epoch_scoped_during_a_rollout(image):
+    """A chunk RPC served at epoch e >= 1 records hub_key's
+    ``("default", e, orig)`` keys, so the replay's edge hub cannot
+    serve an epoch-1 demand from an entry an epoch-0 reply left."""
+    config = SoftCacheConfig(tcache_size=2048, prefetch_depth=2,
+                             update_at=("20000:patch",))
+    rpcs = _chunk_rpcs_with_epochs(image, config, 3, stagger_s=2e-3,
+                                   shards=2, hub_capacity=64 * 1024)
+    assert {epoch for epoch, _ in rpcs} == {0, 1}
+    for epoch, rec in rpcs:
+        for key, _ in rec.keys:
+            if epoch:
+                assert isinstance(key, tuple)
+                assert key[:2] == ("default", epoch)
+                assert isinstance(key[2], int)
+            else:
+                assert isinstance(key, int)
+    hub = LruChunkCache(1 << 20)
+    for epoch, rec in rpcs:
+        if epoch == 0:
+            hub.admit(rec.keys)
+    stale = [rec for epoch, rec in rpcs
+             if epoch == 1 and rec.keys[0][0][2] in hub]
+    assert stale, "no epoch-1 demand for an address held at epoch 0"
+    assert not hub.admit(stale[0].keys)
+
+
+def test_replay_keys_stay_plain_addresses_without_an_update(image):
+    config = SoftCacheConfig(tcache_size=2048, prefetch_depth=2)
+    rpcs = _chunk_rpcs_with_epochs(image, config, 3, stagger_s=2e-3,
+                                   shards=2, hub_capacity=64 * 1024)
+    assert rpcs
+    assert all(epoch == 0 for epoch, _ in rpcs)
+    assert all(isinstance(key, int)
+               for _, rec in rpcs for key, _ in rec.keys)

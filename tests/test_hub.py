@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import served_reply
 from repro.net import HubChannel, LinkModel, with_hub
 from repro.sim import run_native
 from repro.softcache import SoftCacheConfig, SoftCacheSystem
@@ -89,8 +90,7 @@ def test_far_hop_recorded_in_link_stats():
     far = LinkModel(bandwidth_bps=2e6, latency_s=5e-3)
     hub = HubChannel(near, far)
 
-    hub.next_keys = [0x1000]
-    t_miss = hub.batch_exchange("chunk", [100])
+    t_miss = hub.batch_exchange(None, served_reply((0x1000, 100)))
     assert t_miss == pytest.approx(
         near.exchange_time(100) + far.exchange_time(100))
     stats = hub.stats
@@ -102,8 +102,7 @@ def test_far_hop_recorded_in_link_stats():
     assert stats.overhead_per_exchange() == pytest.approx(60.0)
 
     # a hub hit pays (and records) the near hop only
-    hub.next_keys = [0x1000]
-    t_hit = hub.batch_exchange("chunk", [100])
+    t_hit = hub.batch_exchange(None, served_reply((0x1000, 100)))
     assert t_hit == pytest.approx(near.exchange_time(100))
     assert stats.busy_seconds == pytest.approx(t_miss + t_hit)
     assert stats.payload_bytes == 300
@@ -124,12 +123,11 @@ def test_batch_populates_hub_with_every_chunk():
     near = LinkModel()
     far = LinkModel(bandwidth_bps=2e6, latency_s=5e-3)
     hub = HubChannel(near, far)
-    hub.next_keys = [0x100, 0x200, 0x300]
-    hub.batch_exchange("chunk", [40, 60, 80])
+    hub.batch_exchange(
+        None, served_reply((0x100, 40), (0x200, 60), (0x300, 80)))
     assert hub.hub_stats.origin_fetches == 3
     # a later demand for a chunk that arrived only as batch cargo hits
-    hub.next_keys = [0x300]
-    t = hub.batch_exchange("chunk", [80])
+    t = hub.batch_exchange(None, served_reply((0x300, 80)))
     assert hub.hub_stats.hub_hits == 1
     assert t == pytest.approx(near.exchange_time(80))
 
@@ -138,10 +136,9 @@ def test_batch_forwards_only_missing_chunks_upstream():
     near = LinkModel()
     far = LinkModel(bandwidth_bps=2e6, latency_s=5e-3)
     hub = HubChannel(near, far)
-    hub.next_keys = [0x100]
-    hub.batch_exchange("chunk", [40])      # warm one chunk
-    hub.next_keys = [0x100, 0x200, 0x300]
-    t = hub.batch_exchange("chunk", [40, 60, 80])
+    hub.batch_exchange(None, served_reply((0x100, 40)))  # warm one
+    t = hub.batch_exchange(
+        None, served_reply((0x100, 40), (0x200, 60), (0x300, 80)))
     assert hub.hub_stats.hub_hits == 1
     # far leg carried only the two missing chunks
     assert t == pytest.approx(near.batch_exchange_time([40, 60, 80]) +
@@ -156,13 +153,11 @@ def test_replayed_batch_of_one_reinserts_a_chunk_larger_than_the_hub():
     near = LinkModel()
     far = LinkModel(bandwidth_bps=2e6, latency_s=5e-3)
     hub = HubChannel(near, far, capacity_bytes=64)
-    hub.next_keys = [0x100]
-    first = hub.batch_exchange("chunk", [100])
+    first = hub.batch_exchange(None, served_reply((0x100, 100)))
     assert 0x100 not in hub._cache
     assert hub.hub_stats.evictions == 1
-    hub.next_keys = [0x100]
     hub.replaying = True
-    replay = hub.batch_exchange("chunk", [100])
+    replay = hub.batch_exchange(None, served_reply((0x100, 100)))
     assert replay == first == pytest.approx(11068.0e-6)
     stats = hub.hub_stats
     assert stats.evictions == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import served_reply
 from repro.net import Channel, LinkModel
 
 
@@ -81,7 +82,8 @@ def test_batch_exchange_time_math():
 
 def test_channel_batch_accounting():
     chan = Channel(LinkModel())
-    t = chan.batch_exchange("chunk", [100, 50, 25])
+    t = chan.batch_exchange(
+        None, served_reply((0x100, 100), (0x200, 50), (0x300, 25)))
     stats = chan.stats
     assert stats.exchanges == 1           # one logical RPC
     assert stats.batch_exchanges == 1
@@ -99,7 +101,7 @@ def test_single_chunk_batch_accounted_as_plain_exchange():
     unbatched protocol: a one-chunk batch is a plain exchange."""
     plain, batched = Channel(LinkModel()), Channel(LinkModel())
     t_plain = plain.exchange("chunk", 120)
-    t_batch = batched.batch_exchange("chunk", [120])
+    t_batch = batched.batch_exchange(None, served_reply((0x100, 120)))
     assert t_batch == t_plain
     assert batched.stats.batch_exchanges == 0
     assert batched.stats.batched_chunks == 0
